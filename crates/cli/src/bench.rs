@@ -136,6 +136,8 @@ fn interval_union_case() -> BenchSample {
 /// service path — protocol parsing, session multiplexing, incremental
 /// span accounting, decision-log rendering — over a deterministic
 /// 1000-job, 4-session loadgen script, no I/O beyond an in-memory log.
+/// It runs the one serve backend at its default `--workers 1`, where the
+/// single worker runs inline on the calling thread.
 fn serve_throughput_case() -> BenchSample {
     let script = crate::loadgen::emit_script(&crate::loadgen::LoadgenOptions {
         jobs: 1000,
@@ -153,10 +155,10 @@ fn serve_throughput_case() -> BenchSample {
 }
 
 /// The `serve-throughput-1k-w4` workload: the same service path as
-/// `serve-throughput-1k` but through the pooled backend with 4 worker
-/// threads and 8 sessions, so the per-session work shards across
-/// workers. On a multi-core runner this should beat the serial case by
-/// roughly the worker count; on one core it measures pool overhead.
+/// `serve-throughput-1k` but with 4 worker threads and 8 sessions, so the
+/// per-session work shards across workers. On a multi-core runner this
+/// should beat the one-worker case by roughly the worker count; on one
+/// core it measures pool overhead.
 fn serve_throughput_pooled_case() -> BenchSample {
     let script = crate::loadgen::emit_script(&crate::loadgen::LoadgenOptions {
         jobs: 1000,
@@ -169,8 +171,7 @@ fn serve_throughput_pooled_case() -> BenchSample {
         ..crate::serve::ServeOptions::default()
     };
     time_case("serve-throughput-1k-w4", || {
-        let out =
-            crate::serve::run_script_pooled(&script, opts.clone()).expect("bench script must run");
+        let out = crate::serve::run_script(&script, opts.clone()).expect("bench script must run");
         assert_eq!(out.summary.jobs, 1000, "bench script must admit every job");
         assert!(out.summary.halted.is_none());
         out.summary.decision_lines as f64

@@ -8,8 +8,8 @@
 //! * a **clean tenant** (`c*` sessions) sent well-formed on a single
 //!   connection — its replies must all be `ok`, and because its decision
 //!   -log lines are a deterministic subsequence of the daemon log,
-//!   `grep '^c'` of that log must be byte-identical to a serial
-//!   reference run of the same script (checked in CI);
+//!   `grep '^c'` of that log must be byte-identical to a reference run
+//!   of the same script through `fjs serve --input` (checked in CI);
 //! * **fuzz tenants** (`x<i>.…` sessions), one thread per connection,
 //!   each looping seeded [`Misbehave`] rounds: torn frames, garbage
 //!   bytes, giant lines, partial writes, abrupt disconnects and
@@ -281,7 +281,7 @@ pub struct FuzzServeOptions {
     pub frames: u64,
     /// Scheduler spec for well-formed opens.
     pub scheduler: String,
-    /// Write the clean tenant's script here (for a serial reference run).
+    /// Write the clean tenant's script here (for a reference run).
     pub emit_clean: Option<std::path::PathBuf>,
 }
 

@@ -20,5 +20,5 @@ pub mod soak;
 
 pub use experiments::{all, by_id, Experiment, Profile};
 pub use loadgen::{drive, emit_script, DriveReport, DriveTarget, LatencyHistogram, LoadgenOptions};
-pub use serve::{run_script, ScriptOutcome, ServeOptions, ServeSummary, Server};
+pub use serve::{run_script, Backend, ScriptOutcome, ServeOptions, ServeSummary};
 pub use soak::{run_soak, SoakOptions, SoakSummary};

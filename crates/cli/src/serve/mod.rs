@@ -8,6 +8,12 @@
 //! per-session state is O(pending jobs) thanks to the span accountant and
 //! completed-prefix compaction inside the service layer.
 //!
+//! One backend serves every `--workers` value: [`Backend`] (in
+//! [`dispatch`]) parses, admits, journals and renders on the calling
+//! thread and runs sessions on a [`SessionPool`]. At `--workers 1` the
+//! pool's single worker runs inline, with no thread and no channel; above
+//! that, sessions shard across worker threads by stable tenant hash.
+//!
 //! Robustness properties:
 //!
 //! - **Isolation** — a panicking or hung scheduler poisons only its own
@@ -18,35 +24,34 @@
 //!   `--max-pending` bounds per-session resident jobs; excess load is shed
 //!   with a structured `busy` reply rather than absorbed.
 //! - **Crash safety** — admitted requests are appended to a
-//!   [`ServeJournal`]; after `SIGKILL`, `--resume` replays the journal and
-//!   re-reads the input past the last journaled line, reproducing the
-//!   decision log byte for byte.
+//!   [`ServeJournal`](fjs_core::service::ServeJournal); after `SIGKILL`,
+//!   `--resume` replays the journal and re-reads the input past the last
+//!   journaled line, reproducing the decision log byte for byte. A request whose journal append or log
+//!   write fails is answered `err fatal: …`, and every later one
+//!   `err halted`.
 //! - **Graceful drain** — `SIGINT`/`SIGTERM` stop admission, close every
 //!   session, flush all deltas and exit 0.
-//! - **Scale-out** — `--workers N` shards sessions across a resident
-//!   worker pool ([`dispatch`]) with a sequence-numbered merge that keeps
-//!   the decision log and journal byte-identical to a single-threaded
-//!   run; the socket frontends ([`net`]) serve many connections
-//!   concurrently (unix and TCP) and survive per-connection failures.
+//! - **Scale-out** — `--workers N` spreads sessions over `N` workers with
+//!   a sequence-numbered merge that keeps the decision log and journal
+//!   byte-identical at any worker count; the socket frontends ([`net`])
+//!   serve many connections concurrently (unix and TCP) and survive
+//!   per-connection failures.
+//!
+//! [`SessionPool`]: fjs_core::service::SessionPool
 
 pub mod dispatch;
 pub mod net;
 pub mod protocol;
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
-use fjs_core::service::{
-    tenant_of, BreakerConfig, OpenDecision, ServeEvent, ServeJournal, Session, SessionError,
-    TenantBreakers, TenantQuotas, TenantShedCause,
-};
+use fjs_core::service::{BreakerConfig, Session, TenantQuotas};
 use fjs_core::supervise::{PoisonMode, PoisonedScheduler, DEFAULT_WATCHDOG_EVENTS};
-use fjs_core::time::{dur, t};
 use fjs_schedulers::SchedulerKind;
 use fjs_workloads::{DeadLetter, Quarantine};
 
 use crate::soak::stop_requested;
-use protocol::{parse_request, Request};
+pub use dispatch::Backend;
 
 /// Default cap on concurrently open sessions.
 pub const DEFAULT_MAX_SESSIONS: usize = 64;
@@ -64,14 +69,14 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 8192;
 /// slow client instead of growing daemon memory.
 pub const DEFAULT_WRITER_QUEUE: usize = 256;
 
-/// Tunables for a [`Server`].
+/// Tunables for a [`Backend`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Cap on concurrently open sessions; `open` beyond it is shed `busy`.
     pub max_sessions: usize,
     /// Cap on resident (pending + running) jobs per session; `job` beyond
-    /// it is shed `busy`. With a worker pool this also bounds the global
-    /// dispatch window (requests in flight across all workers).
+    /// it is shed `busy`. This also bounds the global dispatch window
+    /// (requests in flight across all workers).
     pub max_pending: usize,
     /// Watchdog event budget per session (contains hung schedulers).
     pub watchdog_events: usize,
@@ -82,10 +87,12 @@ pub struct ServeOptions {
     /// Artificial per-request delay in milliseconds — a test hook so
     /// kill/resume tests can reliably interrupt a run mid-stream.
     pub throttle_ms: u64,
-    /// Session worker threads. `1` keeps the single-threaded [`Server`];
-    /// above that, sessions shard across a
-    /// [`SessionPool`](fjs_core::service::SessionPool) by stable *tenant*
-    /// hash (so the governor's tenant quotas stay exact).
+    /// Session workers. Sessions shard across a
+    /// [`SessionPool`](fjs_core::service::SessionPool) of this many
+    /// workers by stable *tenant* hash (so the governor's tenant quotas
+    /// stay exact). At `1` the single worker runs inline on the
+    /// dispatching thread; above that, each worker is a thread. The
+    /// replies, decision log and journal are the same bytes at any value.
     pub workers: usize,
     /// Cap on concurrently open sessions per tenant (sid prefix before
     /// the first `.`); `0` disables. Excess `open`s shed `busy`.
@@ -132,14 +139,10 @@ pub enum Sink {
 }
 
 impl Sink {
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
+    fn write_line(&mut self, line: std::fmt::Arguments<'_>) -> io::Result<()> {
         match self {
             Sink::Null => Ok(()),
-            Sink::Mem(buf) => {
-                buf.extend_from_slice(line.as_bytes());
-                buf.push(b'\n');
-                Ok(())
-            }
+            Sink::Mem(buf) => writeln!(buf, "{line}"),
             Sink::File(w) => writeln!(w, "{line}"),
             Sink::Stdout(w) => writeln!(w, "{line}"),
         }
@@ -160,12 +163,6 @@ impl Sink {
             _ => None,
         }
     }
-}
-
-/// One resident session plus its serve-side bookkeeping.
-struct Slot {
-    session: Session,
-    jobs: u64,
 }
 
 /// End-of-run accounting: admission, shedding, quarantine and the
@@ -316,12 +313,12 @@ impl ServeSummary {
     }
 }
 
-/// Reply and decision-log line formats, shared verbatim by the serial
-/// [`Server`] and the pooled [`dispatch::PooledServer`] so the two
-/// backends are byte-identical by construction, not by convention.
+/// Reply line formats, one function per reply kind. (Decision-log lines
+/// are `{sid} {decision}` and `{sid} close span={span} verdict={label}`,
+/// written in place by the backend.)
 pub(crate) mod wire {
     use fjs_core::job::JobId;
-    use fjs_core::service::{Decision, SessionError, SessionVerdict, TenantShedCause};
+    use fjs_core::service::{SessionError, SessionVerdict, TenantShedCause};
     use fjs_core::time::Dur;
 
     pub fn open_ok(sid: &str, name: &str) -> String {
@@ -410,650 +407,59 @@ pub(crate) mod wire {
              retained={retained} peak-retained={peak_retained} events={events}"
         )
     }
-    pub fn decision_line(sid: &str, d: &Decision) -> String {
-        format!("{sid} {d}")
-    }
-    pub fn close_line(sid: &str, span: Dur, verdict_label: &str) -> String {
-        format!("{sid} close span={span} verdict={verdict_label}")
-    }
 }
 
-/// The resident daemon core: protocol dispatch, session multiplexing,
-/// admission control, journaling and decision-log emission. Frontends
-/// ([`run_stream`], [`net::run_connections`]) feed it one line at a time.
-pub struct Server {
-    opts: ServeOptions,
-    sessions: BTreeMap<String, Slot>,
-    journal: Option<ServeJournal>,
-    log: Sink,
-    line_no: u64,
-    /// Input lines `<= cursor` were already replayed from the journal and
-    /// are skipped on re-read.
-    cursor: u64,
-    replaying: bool,
-    summary: ServeSummary,
-    breakers: TenantBreakers,
+/// A parsed scheduler spec: a registry short name (`eager`, `batch+`,
+/// `cdb`, ...) optionally wrapped as `poison:<panic|hang>:<name>` to
+/// inject a misbehaving subject (the supervision test double).
+pub(crate) struct SessionSpec {
+    kind: SchedulerKind,
+    poison: Option<PoisonMode>,
 }
 
-impl Server {
-    /// Creates a server writing decisions to `log`, journaling admitted
-    /// requests to `journal` (if any).
-    pub fn new(opts: ServeOptions, log: Sink, journal: Option<ServeJournal>) -> Server {
-        let breakers = TenantBreakers::new(opts.breaker);
-        Server {
-            opts,
-            sessions: BTreeMap::new(),
-            journal,
-            log,
-            line_no: 0,
-            cursor: 0,
-            replaying: false,
-            summary: ServeSummary::default(),
-            breakers,
-        }
-    }
-
-    /// Replays journal events recorded by a previous (killed) run: rebuilds
-    /// every session to its exact pre-crash state, re-emitting the same
-    /// decision-log lines, then arranges for input lines at or before the
-    /// last journaled line to be skipped.
-    pub fn resume(&mut self, events: &[ServeEvent]) -> Result<(), String> {
-        self.replaying = true;
-        for ev in events {
-            match ev {
-                ServeEvent::Open {
-                    session, scheduler, ..
-                } => {
-                    // Journaled opens were all admitted; re-running the
-                    // breaker check replays its half-open probe marking
-                    // (it admits again by determinism).
-                    let _ = self.breakers.admit_open(session);
-                    self.apply_open(session, scheduler)
-                        .map_err(|e| format!("resume: replaying open {session}: {e}"))?;
-                }
-                ServeEvent::Job {
-                    session,
-                    arrival,
-                    deadline,
-                    length,
-                    ..
-                } => {
-                    // The journal only holds admitted offers; the replayed
-                    // result (including a poisoning panic) matches the
-                    // original run by the determinism contract.
-                    let _ = self.apply_job(session, *arrival, *deadline, *length);
-                }
-                ServeEvent::Close { session, .. } => {
-                    let _ = self.apply_close(session);
-                }
-            }
-            self.cursor = self.cursor.max(ev.line());
-        }
-        self.replaying = false;
-        self.line_no = 0;
-        Ok(())
-    }
-
-    /// The resume cursor: input lines `<= cursor` are skipped.
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    /// `true` once the stream must stop (halt-policy quarantine or fatal
-    /// I/O error); frontends poll this after every line.
-    pub fn halted(&self) -> bool {
-        self.summary.halted.is_some()
-    }
-
-    /// Number of currently open sessions.
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
-    fn journal_append(&mut self, ev: &ServeEvent) -> Result<(), String> {
-        if self.replaying {
-            return Ok(());
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.append(ev).map_err(|e| format!("journal: {e}"))?;
-        }
-        Ok(())
-    }
-
-    fn log_line(&mut self, line: &str) -> Result<(), String> {
-        self.log
-            .write_line(line)
-            .map_err(|e| format!("decision log: {e}"))?;
-        self.summary.decision_lines += 1;
-        Ok(())
-    }
-
-    fn note_peaks(&mut self, session: &Session) {
-        let s = &mut self.summary;
-        s.peak_retained = s.peak_retained.max(session.peak_retained_records());
-        s.peak_live_segments = s.peak_live_segments.max(session.peak_live_segments());
-    }
-
-    /// Drains `sid`'s freshly produced decisions into the log.
-    fn flush_decisions(&mut self, sid: &str) -> Result<(), String> {
-        let Some(slot) = self.sessions.get_mut(sid) else {
-            return Ok(());
-        };
-        let decisions = slot.session.take_decisions();
-        let mut lines = Vec::with_capacity(decisions.len());
-        for d in &decisions {
-            lines.push(wire::decision_line(sid, d));
-        }
-        for line in &lines {
-            self.log_line(line)?;
-        }
-        if let Some(slot) = self.sessions.get(sid) {
-            let peak_retained = slot.session.peak_retained_records();
-            let peak_live = slot.session.peak_live_segments();
-            let s = &mut self.summary;
-            s.peak_retained = s.peak_retained.max(peak_retained);
-            s.peak_live_segments = s.peak_live_segments.max(peak_live);
-        }
-        Ok(())
-    }
-
-    fn apply_open(&mut self, sid: &str, spec: &str) -> Result<String, String> {
-        if self.sessions.contains_key(sid) {
-            return Err("session already open".into());
-        }
-        let session = build_session(spec, self.opts.watchdog_events)?;
-        let name = session.scheduler_name();
-        self.sessions
-            .insert(sid.to_string(), Slot { session, jobs: 0 });
-        self.summary.opened += 1;
-        self.summary.peak_sessions = self.summary.peak_sessions.max(self.sessions.len());
-        self.breakers.note_event();
-        Ok(name)
-    }
-
-    fn apply_job(
-        &mut self,
-        sid: &str,
-        arrival: f64,
-        deadline: f64,
-        length: f64,
-    ) -> Result<Result<fjs_core::job::JobId, SessionError>, String> {
-        let Some(slot) = self.sessions.get_mut(sid) else {
-            return Err("no such session".into());
-        };
-        let offer = fjs_core::service::JobOffer {
-            arrival: t(arrival),
-            deadline: t(deadline),
-            length: dur(length),
-        };
-        let outcome = slot.session.offer(offer);
-        if outcome.is_ok() {
-            slot.jobs += 1;
-        }
-        // Tick the breaker clock only for journal-equivalent outcomes
-        // (admitted, or admitted-and-poisoned) so replay ticks match.
-        if matches!(&outcome, Ok(_) | Err(SessionError::Terminal(_))) {
-            self.breakers.note_event();
-        }
-        self.flush_decisions(sid)?;
-        Ok(outcome)
-    }
-
-    fn apply_close(&mut self, sid: &str) -> Result<(String, fjs_core::time::Dur, u64), String> {
-        let Some(mut slot) = self.sessions.remove(sid) else {
-            return Err("no such session".into());
-        };
-        let verdict = slot.session.close();
-        let span = slot.session.span();
-        let decisions = slot.session.take_decisions();
-        for d in &decisions {
-            let line = wire::decision_line(sid, d);
-            self.log_line(&line)?;
-        }
-        self.note_peaks(&slot.session);
-        self.log_line(&wire::close_line(sid, span, verdict.label()))?;
-        self.summary.closed += 1;
-        self.breakers.note_close(sid, verdict.is_completed());
-        self.summary.breaker_trips = self.breakers.trips();
-        Ok((verdict.label().to_string(), span, slot.jobs))
-    }
-
-    /// Handles one raw input line starting at byte `offset` in its stream.
-    ///
-    /// Returns the reply to send back, or `None` for blank/comment lines
-    /// and lines skipped by the resume cursor. `offset` and the internal
-    /// line counter attribute quarantined lines exactly (same provenance
-    /// contract as the batch trace reader's dead letters).
-    pub fn handle_line(&mut self, offset: u64, raw: &str) -> Option<String> {
-        self.line_no += 1;
-        self.summary.lines += 1;
-        if self.line_no <= self.cursor {
-            return None;
-        }
-        if self.halted() {
-            return Some("err halted".into());
-        }
-        let raw = raw.trim_end_matches('\n').trim_end_matches('\r');
-        let req = match parse_request(raw) {
-            Ok(None) => return None,
-            Ok(Some(req)) => req,
-            Err(reason) => return Some(self.quarantine_line(offset, raw, reason)),
-        };
-        self.summary.requests += 1;
-        let reply = self.dispatch(offset, req);
-        match reply {
-            Ok(text) => Some(text),
-            Err(fatal) => {
-                self.summary.halted = Some(fatal.clone());
-                Some(format!("err fatal: {fatal}"))
-            }
-        }
-    }
-
-    fn quarantine_line(&mut self, offset: u64, raw: &str, reason: String) -> String {
-        let line = self.line_no;
-        let reply = format!("err line={line} offset={offset}: {reason}");
-        match self.opts.quarantine {
-            Quarantine::Halt => {
-                self.summary.halted = Some(format!("line {line} (byte {offset}): {reason}"));
-            }
-            Quarantine::Skip => self.summary.quarantined += 1,
-            Quarantine::DeadLetter => {
-                self.summary.quarantined += 1;
-                self.summary.dead.push(DeadLetter {
-                    line: self.line_no as usize,
-                    offset,
-                    raw: raw.to_string(),
-                });
-            }
-        }
-        reply
-    }
-
-    /// Dispatches a parsed request. `Ok` is the reply line; `Err` is a
-    /// fatal server condition (journal or log I/O failure) that halts the
-    /// stream.
-    fn dispatch(&mut self, offset: u64, req: Request) -> Result<String, String> {
-        let line = self.line_no;
-        match req {
-            Request::Open { sid, spec } => {
-                // Admission order (mirrored exactly by the pooled
-                // dispatcher): duplicate → global cap → tenant cap →
-                // breaker → spec validation.
-                let mut breaker_checked = false;
-                if !self.sessions.contains_key(&sid) {
-                    if self.sessions.len() >= self.opts.max_sessions {
-                        self.summary.shed += 1;
-                        return Ok(wire::open_busy(
-                            &sid,
-                            self.sessions.len(),
-                            self.opts.max_sessions,
-                        ));
-                    }
-                    let cap = self.opts.tenant_max_sessions;
-                    if cap > 0 {
-                        let tenant = tenant_of(&sid);
-                        let open = self
-                            .sessions
-                            .keys()
-                            .filter(|k| tenant_of(k) == tenant)
-                            .count();
-                        if open >= cap {
-                            self.summary.tenant_shed += 1;
-                            return Ok(wire::open_tenant_busy(&sid, tenant, open, cap));
-                        }
-                    }
-                    breaker_checked = true;
-                    if let OpenDecision::Refuse {
-                        failures,
-                        retry_after,
-                    } = self.breakers.admit_open(&sid)
-                    {
-                        self.summary.breaker_refused += 1;
-                        return Ok(wire::open_breaker(
-                            &sid,
-                            tenant_of(&sid),
-                            failures,
-                            retry_after,
-                        ));
-                    }
-                }
-                match self.apply_open(&sid, &spec) {
-                    Ok(name) => {
-                        self.journal_append(&ServeEvent::Open {
-                            session: sid.clone(),
-                            scheduler: spec,
-                            line,
-                        })?;
-                        Ok(wire::open_ok(&sid, &name))
-                    }
-                    Err(e) => {
-                        // A failed open is not journaled; undo the
-                        // half-open probe reservation (if this sid took
-                        // it) so the probe slot is not leaked.
-                        if breaker_checked {
-                            self.breakers.abort_open(&sid);
-                        }
-                        Ok(wire::open_err(&sid, &e))
-                    }
-                }
-            }
-            Request::Job {
-                sid,
-                arrival,
-                deadline,
-                length,
-            } => {
-                match self.sessions.get(&sid) {
-                    None => return Ok(wire::no_session("job", &sid)),
-                    Some(slot) => {
-                        if let Some(v) = slot.session.verdict() {
-                            return Ok(wire::job_terminal(&sid, v));
-                        }
-                        let resident = slot.session.num_pending() + slot.session.num_running();
-                        if resident >= self.opts.max_pending {
-                            self.summary.shed += 1;
-                            return Ok(wire::job_busy(&sid, resident, self.opts.max_pending));
-                        }
-                    }
-                }
-                // Tenant quota checks, in the same order as the pool
-                // worker's so serial and pooled replies match bytewise.
-                let q = self.opts.tenant_quotas;
-                if q.enabled() {
-                    let tenant = tenant_of(&sid).to_string();
-                    let mut t_resident = 0usize;
-                    let mut t_bytes = 0u64;
-                    for (k, slot) in &self.sessions {
-                        if tenant_of(k) == tenant {
-                            t_resident += slot.session.num_pending() + slot.session.num_running();
-                            t_bytes += slot.session.admitted_payload_bytes();
-                        }
-                    }
-                    if q.max_pending > 0 && t_resident >= q.max_pending {
-                        self.summary.tenant_shed += 1;
-                        return Ok(wire::job_tenant_busy(
-                            &sid,
-                            &tenant,
-                            TenantShedCause::Pending,
-                            t_resident as u64,
-                            q.max_pending as u64,
-                        ));
-                    }
-                    let offer = fjs_core::service::JobOffer {
-                        arrival: t(arrival),
-                        deadline: t(deadline),
-                        length: dur(length),
-                    };
-                    if q.max_bytes > 0 && t_bytes + offer.canonical_bytes() > q.max_bytes {
-                        self.summary.tenant_shed += 1;
-                        return Ok(wire::job_tenant_busy(
-                            &sid,
-                            &tenant,
-                            TenantShedCause::Bytes,
-                            t_bytes,
-                            q.max_bytes,
-                        ));
-                    }
-                }
-                match self.apply_job(&sid, arrival, deadline, length)? {
-                    Ok(id) => {
-                        self.journal_append(&ServeEvent::Job {
-                            session: sid.clone(),
-                            line,
-                            arrival,
-                            deadline,
-                            length,
-                        })?;
-                        self.summary.jobs += 1;
-                        let span = self
-                            .sessions
-                            .get(&sid)
-                            .map(|s| s.session.span())
-                            .unwrap_or(fjs_core::time::Dur::ZERO);
-                        Ok(wire::job_ok(&sid, id, span))
-                    }
-                    Err(SessionError::Terminal(v)) => {
-                        // This offer itself poisoned the session: the
-                        // mutation happened, so it must be journaled for
-                        // replay to reproduce the same terminal state.
-                        self.journal_append(&ServeEvent::Job {
-                            session: sid.clone(),
-                            line,
-                            arrival,
-                            deadline,
-                            length,
-                        })?;
-                        self.summary.jobs += 1;
-                        Ok(wire::job_poisoned(&sid, &v))
-                    }
-                    Err(e) => Ok(wire::job_rejected(&sid, line, offset, &e)),
-                }
-            }
-            Request::Close { sid } => match self.apply_close(&sid) {
-                Ok((verdict, span, jobs)) => {
-                    self.journal_append(&ServeEvent::Close {
-                        session: sid.clone(),
-                        line,
-                    })?;
-                    Ok(wire::close_ok(&sid, span, jobs, &verdict))
-                }
-                Err(e) => Ok(format!("err close {sid}: {e}")),
-            },
-            Request::Stats { sid } => match self.sessions.get(&sid) {
-                None => Ok(wire::no_session("stats", &sid)),
-                Some(slot) => {
-                    let s = &slot.session;
-                    Ok(wire::stats_ok(
-                        &sid,
-                        s.span(),
-                        s.num_pending(),
-                        s.num_running(),
-                        s.retained_records(),
-                        s.peak_retained_records(),
-                        s.stats().events_total,
-                    ))
-                }
-            },
-            Request::StatsDaemon => Ok(wire::stats_daemon(&self.summary)),
-        }
-    }
-
-    /// Graceful drain: closes every remaining session (alphabetical order,
-    /// so drains are deterministic), flushes the decision log and syncs
-    /// the journal. Called on end-of-input and on `SIGINT`/`SIGTERM`.
-    pub fn drain(&mut self) -> Result<(), String> {
-        let line = self.line_no;
-        let sids: Vec<String> = self.sessions.keys().cloned().collect();
-        for sid in sids {
-            self.apply_close(&sid)?;
-            self.journal_append(&ServeEvent::Close { session: sid, line })?;
-        }
-        self.log.flush().map_err(|e| format!("decision log: {e}"))?;
-        if let Some(j) = self.journal.as_mut() {
-            j.sync().map_err(|e| format!("journal: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Drains and consumes the server, returning the final accounting and
-    /// the decision-log sink (so in-memory logs can be inspected).
-    pub fn finish(mut self) -> Result<(ServeSummary, Sink), String> {
-        self.drain()?;
-        Ok((self.summary, self.log))
-    }
+/// Parses a scheduler spec without building anything, so admission can
+/// reject a bad `open` before a worker sees it.
+pub(crate) fn parse_spec(spec: &str) -> Result<SessionSpec, String> {
+    let Some(rest) = spec.strip_prefix("poison:") else {
+        return Ok(SessionSpec {
+            kind: lookup_kind(spec)?,
+            poison: None,
+        });
+    };
+    let (mode_label, inner) = rest
+        .split_once(':')
+        .ok_or_else(|| format!("bad poison spec '{spec}' (want poison:<panic|hang>:<name>)"))?;
+    let mode = PoisonMode::from_label(mode_label)
+        .ok_or_else(|| format!("unknown poison mode '{mode_label}' (want panic|hang)"))?;
+    Ok(SessionSpec {
+        kind: lookup_kind(inner)?,
+        poison: Some(mode),
+    })
 }
 
-/// Unified driver over the two server backends, so frontends (file,
-/// stdin, sockets) are written once. `Serial` replies synchronously;
-/// `Pooled` replies arrive asynchronously through [`Backend::pump`],
-/// tagged with the submitting connection and released in per-connection
-/// order.
-pub enum Backend {
-    /// The single-threaded [`Server`] (`--workers 1`, the default).
-    /// Both variants are boxed: each embeds its whole session/dispatch
-    /// state inline, and the enum is moved around by the frontends.
-    Serial(Box<Server>),
-    /// The worker-pool dispatcher (`--workers N`).
-    Pooled(Box<dispatch::PooledServer>),
-}
-
-impl Backend {
-    /// Builds the backend selected by `opts.workers`.
-    pub fn new(opts: ServeOptions, log: Sink, journal: Option<ServeJournal>) -> Backend {
-        if opts.workers <= 1 {
-            Backend::Serial(Box::new(Server::new(opts, log, journal)))
-        } else {
-            Backend::Pooled(Box::new(dispatch::PooledServer::new(opts, log, journal)))
-        }
+impl SessionSpec {
+    /// Builds the session, with `watchdog` as its event budget.
+    pub(crate) fn build(&self, watchdog: usize) -> Session {
+        let (sched, model) = (self.kind.build(), self.kind.information_model());
+        let session = match self.poison {
+            Some(mode) => Session::new(Box::new(PoisonedScheduler::new(sched, mode)), model),
+            None => Session::new(sched, model),
+        };
+        session.with_watchdog(watchdog)
     }
-
-    /// Submits one raw input line from `conn` starting at byte `offset`
-    /// in that connection's stream; completed replies (possibly for other
-    /// connections) are appended to `out` as `(conn, reply)` pairs.
-    pub fn submit(
-        &mut self,
-        conn: u64,
-        offset: u64,
-        raw: &str,
-        out: &mut Vec<(u64, String)>,
-    ) -> Result<(), String> {
-        match self {
-            Backend::Serial(s) => {
-                if let Some(reply) = s.handle_line(offset, raw) {
-                    out.push((conn, reply));
-                }
-                Ok(())
-            }
-            Backend::Pooled(p) => p.submit(conn, offset, raw, out),
-        }
-    }
-
-    /// Collects replies that completed since the last call (no-op for the
-    /// serial backend, which replies inside [`Backend::submit`]).
-    pub fn pump(&mut self, out: &mut Vec<(u64, String)>) -> Result<(), String> {
-        match self {
-            Backend::Serial(_) => Ok(()),
-            Backend::Pooled(p) => p.pump(out),
-        }
-    }
-
-    /// Blocks until every submitted request has completed and its reply
-    /// was appended to `out`. Call before [`Backend::finish`] when the
-    /// replies matter (file/stdin frontends).
-    pub fn settle(&mut self, out: &mut Vec<(u64, String)>) -> Result<(), String> {
-        match self {
-            Backend::Serial(_) => Ok(()),
-            Backend::Pooled(p) => p.settle(out),
-        }
-    }
-
-    /// Drops per-connection reply state after a disconnect; undelivered
-    /// replies for that connection are discarded.
-    pub fn forget_conn(&mut self, conn: u64) {
-        if let Backend::Pooled(p) = self {
-            p.forget_conn(conn);
-        }
-    }
-
-    /// See [`Server::resume`].
-    pub fn resume(&mut self, events: &[ServeEvent]) -> Result<(), String> {
-        match self {
-            Backend::Serial(s) => s.resume(events),
-            Backend::Pooled(p) => p.resume(events),
-        }
-    }
-
-    /// See [`Server::cursor`].
-    pub fn cursor(&self) -> u64 {
-        match self {
-            Backend::Serial(s) => s.cursor(),
-            Backend::Pooled(p) => p.cursor(),
-        }
-    }
-
-    /// See [`Server::halted`].
-    pub fn halted(&self) -> bool {
-        match self {
-            Backend::Serial(s) => s.halted(),
-            Backend::Pooled(p) => p.halted(),
-        }
-    }
-
-    /// True while worker results are still outstanding. The serial
-    /// backend answers every request synchronously, so it is never busy.
-    pub fn busy(&self) -> bool {
-        match self {
-            Backend::Serial(_) => false,
-            Backend::Pooled(p) => p.busy(),
-        }
-    }
-
-    /// The configured per-request throttle (test hook).
-    pub fn throttle_ms(&self) -> u64 {
-        match self {
-            Backend::Serial(s) => s.opts.throttle_ms,
-            Backend::Pooled(p) => p.throttle_ms(),
-        }
-    }
-
-    /// The frame-length cap the socket frontends enforce per line.
-    pub fn max_frame_bytes(&self) -> usize {
-        match self {
-            Backend::Serial(s) => s.opts.max_frame_bytes,
-            Backend::Pooled(p) => p.opts().max_frame_bytes,
-        }
-    }
-
-    /// The bounded per-connection writer-queue depth.
-    pub fn writer_queue(&self) -> usize {
-        match self {
-            Backend::Serial(s) => s.opts.writer_queue,
-            Backend::Pooled(p) => p.opts().writer_queue,
-        }
-    }
-
-    pub(crate) fn summary_mut(&mut self) -> &mut ServeSummary {
-        match self {
-            Backend::Serial(s) => &mut s.summary,
-            Backend::Pooled(p) => p.summary_mut(),
-        }
-    }
-
-    /// Drains every session and returns the final accounting and log sink.
-    pub fn finish(self) -> Result<(ServeSummary, Sink), String> {
-        match self {
-            Backend::Serial(s) => s.finish(),
-            Backend::Pooled(p) => p.finish(),
-        }
-    }
-}
-
-/// Builds a session from a scheduler spec: a registry short name
-/// (`eager`, `batch+`, `cdb`, ...) optionally wrapped as
-/// `poison:<panic|hang>:<name>` to inject a misbehaving subject (the
-/// supervision test double).
-pub(crate) fn build_session(spec: &str, watchdog: usize) -> Result<Session, String> {
-    if let Some(rest) = spec.strip_prefix("poison:") {
-        let (mode_label, inner) = rest
-            .split_once(':')
-            .ok_or_else(|| format!("bad poison spec '{spec}' (want poison:<panic|hang>:<name>)"))?;
-        let mode = PoisonMode::from_label(mode_label)
-            .ok_or_else(|| format!("unknown poison mode '{mode_label}' (want panic|hang)"))?;
-        let kind = lookup_kind(inner)?;
-        let sched = Box::new(PoisonedScheduler::new(kind.build(), mode));
-        return Ok(Session::new(sched, kind.information_model()).with_watchdog(watchdog));
-    }
-    let kind = lookup_kind(spec)?;
-    Ok(Session::new(kind.build(), kind.information_model()).with_watchdog(watchdog))
 }
 
 fn lookup_kind(name: &str) -> Result<SchedulerKind, String> {
-    let lower = name.to_ascii_lowercase();
+    // Registry names are lowercase already; skipping the copy for them
+    // saves ~5% of `Backend::new` + 64 opens (paired A/B, 2-core Xeon).
+    let lower = match name.bytes().any(|b| b.is_ascii_uppercase()) {
+        true => std::borrow::Cow::Owned(name.to_ascii_lowercase()),
+        false => std::borrow::Cow::Borrowed(name),
+    };
     let canonical = if lower == "semi-cdb" {
         "semicdb"
     } else {
-        lower.as_str()
+        &lower
     };
     SchedulerKind::from_short_name(canonical).ok_or_else(|| format!("unknown scheduler '{name}'"))
 }
@@ -1087,8 +493,8 @@ pub fn install_drain_handlers() {}
 /// to `replies` (if given) and stopping on end-of-input, a requested stop
 /// (signal) or a server halt. Byte offsets are tracked exactly as the
 /// batch trace reader does, so quarantine attribution matches. All lines
-/// belong to one logical connection, so pooled replies come back in
-/// submission order.
+/// belong to one logical connection, so replies come back in submission
+/// order.
 pub fn run_stream<R: BufRead>(
     backend: &mut Backend,
     mut src: R,
@@ -1097,7 +503,7 @@ pub fn run_stream<R: BufRead>(
     let mut offset = 0u64;
     let mut buf = String::new();
     let mut out: Vec<(u64, String)> = Vec::new();
-    let throttle = backend.throttle_ms();
+    let throttle = backend.opts().throttle_ms;
     loop {
         if stop_requested() || backend.halted() {
             break;
@@ -1170,7 +576,7 @@ pub fn run_stdin(backend: &mut Backend) -> Result<(), String> {
     let mut stdout = stdout.lock();
     let mut replies: Option<&mut dyn Write> = Some(&mut stdout);
     let mut out: Vec<(u64, String)> = Vec::new();
-    let throttle = backend.throttle_ms();
+    let throttle = backend.opts().throttle_ms;
     loop {
         if stop_requested() || backend.halted() {
             break;
@@ -1204,36 +610,12 @@ pub struct ScriptOutcome {
     pub summary: ServeSummary,
 }
 
-/// Runs a protocol script through an in-memory server — the entry point
-/// used by benches and tests (no files, no sockets, no journal unless the
-/// caller wires one in via [`Server`] directly).
+/// Runs a protocol script through an in-memory [`Backend`] with
+/// `opts` (any `workers` value) — the entry point used by benches and
+/// tests (no files, no sockets, no journal; wire one in through
+/// [`Backend::new`] directly). All lines belong to one connection, and
+/// the script stops at the first halt, like the file frontend.
 pub fn run_script(script: &str, opts: ServeOptions) -> Result<ScriptOutcome, String> {
-    let mut server = Server::new(opts, Sink::Mem(Vec::new()), None);
-    let mut replies = Vec::new();
-    let mut offset = 0u64;
-    for line in script.split_inclusive('\n') {
-        if let Some(reply) = server.handle_line(offset, line) {
-            replies.push(reply);
-        }
-        offset += line.len() as u64;
-        if server.halted() {
-            break;
-        }
-    }
-    let (summary, log) = server.finish()?;
-    let log = String::from_utf8_lossy(log.mem().unwrap_or_default()).into_owned();
-    Ok(ScriptOutcome {
-        replies,
-        log,
-        summary,
-    })
-}
-
-/// Like [`run_script`] but through whichever backend `opts.workers`
-/// selects — the entry point for the pooled bench case and the
-/// worker-count determinism tests (which assert the log is byte-identical
-/// to [`run_script`]'s).
-pub fn run_script_pooled(script: &str, opts: ServeOptions) -> Result<ScriptOutcome, String> {
     let mut backend = Backend::new(opts, Sink::Mem(Vec::new()), None);
     let mut out: Vec<(u64, String)> = Vec::new();
     let mut offset = 0u64;
@@ -1258,10 +640,25 @@ pub fn run_script_pooled(script: &str, opts: ServeOptions) -> Result<ScriptOutco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fjs_core::service::ServeEvent;
     use fjs_core::supervise::with_quiet_panics;
 
     fn script_outcome(script: &str) -> ScriptOutcome {
         run_script(script, ServeOptions::default()).expect("script runs")
+    }
+
+    /// Feeds the first `take` lines of `script` to `backend` as one
+    /// connection (all of them, even after a halt) and returns the
+    /// replies.
+    fn feed(backend: &mut Backend, script: &str, take: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut offset = 0u64;
+        for line in script.split_inclusive('\n').take(take) {
+            backend.submit(0, offset, line, &mut out).unwrap();
+            offset += line.len() as u64;
+        }
+        backend.settle(&mut out).unwrap();
+        out.into_iter().map(|(_, reply)| reply).collect()
     }
 
     #[test]
@@ -1475,16 +872,12 @@ mod tests {
         let journal = fjs_core::service::ServeJournal::create(&journal_path)
             .unwrap()
             .with_sync_every(1);
-        let mut server = Server::new(
+        let mut server = Backend::new(
             ServeOptions::default(),
             Sink::Mem(Vec::new()),
             Some(journal),
         );
-        let mut offset = 0u64;
-        for line in script.split_inclusive('\n') {
-            server.handle_line(offset, line);
-            offset += line.len() as u64;
-        }
+        feed(&mut server, script, usize::MAX);
         let (_, sink) = server.finish().unwrap();
         let reference = String::from_utf8(sink.mem().unwrap().to_vec()).unwrap();
 
@@ -1495,23 +888,15 @@ mod tests {
         let journal2 = fjs_core::service::ServeJournal::create(&journal2_path)
             .unwrap()
             .with_sync_every(1);
-        let mut first = Server::new(ServeOptions::default(), Sink::Null, Some(journal2));
-        let mut offset = 0u64;
-        for line in script.split_inclusive('\n').take(5) {
-            first.handle_line(offset, line);
-            offset += line.len() as u64;
-        }
+        let mut first = Backend::new(ServeOptions::default(), Sink::Null, Some(journal2));
+        feed(&mut first, script, 5);
         drop(first); // SIGKILL stand-in: no drain, no close events.
 
         let events = fjs_core::service::ServeJournal::load(&journal2_path).unwrap();
-        let mut resumed = Server::new(ServeOptions::default(), Sink::Mem(Vec::new()), None);
+        let mut resumed = Backend::new(ServeOptions::default(), Sink::Mem(Vec::new()), None);
         resumed.resume(&events).unwrap();
         assert_eq!(resumed.cursor(), 5);
-        let mut offset = 0u64;
-        for line in script.split_inclusive('\n') {
-            resumed.handle_line(offset, line);
-            offset += line.len() as u64;
-        }
+        feed(&mut resumed, script, usize::MAX);
         let (_, sink) = resumed.finish().unwrap();
         let resumed_log = String::from_utf8(sink.mem().unwrap().to_vec()).unwrap();
         assert_eq!(resumed_log, reference, "resume must be byte-identical");
@@ -1519,14 +904,227 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A failed journal append answers its request `err fatal: …` and
+    /// every later one `err halted`, never `ok`, at any worker count;
+    /// nothing after it reaches the log, the drain's closes included.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn build_session_understands_specs() {
-        assert!(build_session("eager", 1000).is_ok());
-        assert!(build_session("batch+", 1000).is_ok());
-        assert!(build_session("poison:panic:eager", 1000).is_ok());
-        assert!(build_session("poison:hang:lazy", 1000).is_ok());
-        assert!(build_session("poison:frogs:eager", 1000).is_err());
-        assert!(build_session("nonesuch", 1000).is_err());
+    fn unjournaled_requests_are_never_answered_ok() {
+        let dir = std::env::temp_dir().join(format!(
+            "fjs-unjournaled-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = "open a eager\njob a 0,5,1\njob a 1,6,1\n";
+        for workers in [1usize, 2] {
+            // `open_append`, not `create`: `create` fsyncs, and fsync on
+            // /dev/full fails with EINVAL before any append is tried.
+            let journal = fjs_core::service::ServeJournal::open_append("/dev/full").unwrap();
+            let opts = ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            };
+            // A file log: `finish` fails on the journal's final sync,
+            // after the log is flushed.
+            let log_path = dir.join(format!("w{workers}.log"));
+            let log = Sink::File(io::BufWriter::new(
+                std::fs::File::create(&log_path).unwrap(),
+            ));
+            let mut backend = Backend::new(opts, log, Some(journal));
+            let replies = feed(&mut backend, script, usize::MAX);
+            assert_eq!(replies.len(), 3, "workers={workers}: {replies:?}");
+            assert!(
+                replies[0].starts_with("err fatal: journal: ")
+                    && replies[0].contains("No space left on device"),
+                "workers={workers}: {replies:?}"
+            );
+            assert_eq!(
+                replies[1..],
+                ["err halted", "err halted"],
+                "workers={workers}"
+            );
+            assert!(backend.halted());
+            assert!(backend.finish().is_err(), "workers={workers}");
+            // The open failed before it was logged, and the jobs that ran
+            // at two workers before the halt was seen never reach the
+            // log: no session line at any width.
+            assert_eq!(
+                std::fs::read_to_string(&log_path).unwrap(),
+                "",
+                "workers={workers}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Many connections interleaved: each gets exactly its own replies,
+    /// in its own order, and the log equals the single-connection run.
+    #[test]
+    fn replies_route_per_connection() {
+        let conns = 40u64;
+        let mut lines = Vec::new();
+        for verb in ["open", "job", "close"] {
+            for c in 0..conns {
+                lines.push((
+                    c,
+                    match verb {
+                        "open" => format!("open t{c}.s eager\n"),
+                        "job" => format!("job t{c}.s 0,5,1\n"),
+                        _ => format!("close t{c}.s\n"),
+                    },
+                ));
+            }
+        }
+        let script: String = lines.iter().map(|(_, l)| l.as_str()).collect();
+        for workers in [1usize, 2] {
+            let opts = ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            };
+            let reference = run_script(&script, opts.clone()).unwrap().log;
+            let mut backend = Backend::new(opts, Sink::Mem(Vec::new()), None);
+            let mut out = Vec::new();
+            let mut offsets = vec![0u64; conns as usize];
+            for (c, line) in &lines {
+                backend
+                    .submit(*c, offsets[*c as usize], line, &mut out)
+                    .unwrap();
+                offsets[*c as usize] += line.len() as u64;
+            }
+            backend.settle(&mut out).unwrap();
+            assert_eq!(out.len(), lines.len(), "workers={workers}");
+            for c in 0..conns {
+                let mine: Vec<&str> = out
+                    .iter()
+                    .filter(|(k, _)| *k == c)
+                    .map(|(_, r)| r.as_str())
+                    .collect();
+                assert_eq!(mine.len(), 3, "workers={workers} conn={c}: {mine:?}");
+                for (reply, verb) in mine.iter().zip(["open", "job", "close"]) {
+                    let want = format!("ok {verb} t{c}.s ");
+                    assert!(reply.starts_with(&want), "workers={workers}: {mine:?}");
+                }
+            }
+            let (_, sink) = backend.finish().unwrap();
+            assert_eq!(
+                String::from_utf8_lossy(sink.mem().unwrap()),
+                reference,
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// A journaled open whose spec this build cannot parse fails the
+    /// resume instead of silently dropping the session's events.
+    #[test]
+    fn resume_rejects_an_unknown_journaled_spec() {
+        let events = [
+            ServeEvent::Open {
+                session: "a".into(),
+                scheduler: "no-such-kind".into(),
+                line: 1,
+            },
+            ServeEvent::Job {
+                session: "a".into(),
+                line: 2,
+                arrival: 0.0,
+                deadline: 5.0,
+                length: 1.0,
+            },
+        ];
+        for workers in [1usize, 2] {
+            let opts = ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            };
+            let mut backend = Backend::new(opts, Sink::Mem(Vec::new()), None);
+            let err = backend.resume(&events).unwrap_err();
+            assert_eq!(
+                err, "resume: replaying open a: unknown scheduler 'no-such-kind'",
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// Replayed offers were admitted by the live run, so resuming under
+    /// tighter limits must not shed them: the resumed log equals the
+    /// log of an uninterrupted run at the limits the journal was written
+    /// under.
+    #[test]
+    fn replay_ignores_admission_limits() {
+        let dir = std::env::temp_dir().join(format!(
+            "fjs-replay-limits-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal_path = dir.join("serve.journal");
+        // Lazy keeps same-instant jobs resident: three in t.a, one in t.b.
+        let script = "open t.a lazy\n\
+                      open t.b lazy\n\
+                      job t.a 0,100,1\n\
+                      job t.a 0,100,1\n\
+                      job t.b 0,100,1\n\
+                      job t.a 0,100,1\n";
+        let journal = fjs_core::service::ServeJournal::create(&journal_path).unwrap();
+        let mut live = Backend::new(
+            ServeOptions::default(),
+            Sink::Mem(Vec::new()),
+            Some(journal),
+        );
+        feed(&mut live, script, usize::MAX);
+        let (summary, sink) = live.finish().unwrap();
+        assert_eq!(summary.jobs, 4);
+        let reference = sink.mem().unwrap().to_vec();
+
+        // A SIGKILL stand-in: the journal without the drain's closes.
+        let events: Vec<_> = fjs_core::service::ServeJournal::load(&journal_path)
+            .unwrap()
+            .into_iter()
+            .filter(|ev| !matches!(ev, ServeEvent::Close { .. }))
+            .collect();
+        assert_eq!(events.len(), 6);
+        let tight = [
+            ServeOptions {
+                max_pending: 1,
+                ..ServeOptions::default()
+            },
+            ServeOptions {
+                tenant_quotas: TenantQuotas {
+                    max_pending: 1,
+                    max_bytes: 0,
+                },
+                ..ServeOptions::default()
+            },
+        ];
+        for opts in tight {
+            for workers in [1usize, 2] {
+                let opts = ServeOptions {
+                    workers,
+                    ..opts.clone()
+                };
+                let mut resumed = Backend::new(opts.clone(), Sink::Mem(Vec::new()), None);
+                resumed.resume(&events).unwrap();
+                assert!(feed(&mut resumed, script, usize::MAX).is_empty());
+                let (summary, sink) = resumed.finish().unwrap();
+                assert_eq!(summary.shed + summary.tenant_shed, 0, "{opts:?}");
+                assert_eq!(sink.mem().unwrap(), reference, "{opts:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn parse_spec_understands_specs() {
+        assert!(parse_spec("eager").is_ok());
+        assert!(parse_spec("batch+").is_ok());
+        assert!(parse_spec("poison:panic:eager").is_ok());
+        assert!(parse_spec("poison:hang:lazy").is_ok());
+        assert!(parse_spec("poison:frogs:eager").is_err());
+        assert!(parse_spec("nonesuch").is_err());
+        let session = parse_spec("poison:panic:eager").unwrap().build(1000);
+        assert_eq!(session.scheduler_name(), "Poisoned[panic](Eager)");
     }
 
     #[test]
@@ -1669,28 +1267,39 @@ mod tests {
             },
             ..ServeOptions::default()
         };
-        let serial = with_quiet_panics(|| run_script(script, opts(1)).unwrap());
-        assert!(
-            serial.summary.breaker_trips > 0,
-            "script must trip the breaker"
+        // The golden fixtures were recorded from the single-threaded
+        // server that `--workers 1` replaced.
+        let golden = |ext: &str| match ext {
+            "replies" => include_str!("../../tests/golden/serve/governor.replies"),
+            "log" => include_str!("../../tests/golden/serve/governor.log"),
+            _ => include_str!("../../tests/golden/serve/governor.summary.jsonl"),
+        };
+        assert_eq!(
+            script,
+            include_str!("../../tests/golden/serve/governor.script")
         );
-        assert!(serial.summary.tenant_shed > 0, "script must shed on quota");
-        for workers in [2usize, 8] {
-            let pooled = with_quiet_panics(|| run_script_pooled(script, opts(workers)).unwrap());
+        for workers in [1usize, 2, 8] {
+            let out = with_quiet_panics(|| run_script(script, opts(workers)).unwrap());
+            assert!(
+                out.summary.breaker_trips > 0,
+                "script must trip the breaker"
+            );
+            assert!(out.summary.tenant_shed > 0, "script must shed on quota");
             assert_eq!(
-                pooled.replies, serial.replies,
+                out.replies.join("\n") + "\n",
+                golden("replies"),
                 "replies must be byte-identical at workers={workers}"
             );
             assert_eq!(
-                pooled.log, serial.log,
+                out.log,
+                golden("log"),
                 "log must be byte-identical at workers={workers}"
             );
-            assert_eq!(pooled.summary.breaker_trips, serial.summary.breaker_trips);
             assert_eq!(
-                pooled.summary.breaker_refused,
-                serial.summary.breaker_refused
+                out.summary.to_jsonl() + "\n",
+                golden("summary"),
+                "summary must be byte-identical at workers={workers}"
             );
-            assert_eq!(pooled.summary.tenant_shed, serial.summary.tenant_shed);
         }
     }
 
@@ -1721,29 +1330,20 @@ mod tests {
         let journal = fjs_core::service::ServeJournal::create(&journal_path)
             .unwrap()
             .with_sync_every(1);
-        let mut live = Server::new(opts(), Sink::Null, Some(journal));
-        let mut offset = 0u64;
-        with_quiet_panics(|| {
-            for line in script.split_inclusive('\n') {
-                live.handle_line(offset, line);
-                offset += line.len() as u64;
-            }
-        });
-        let live_reply = live.handle_line(offset, "open h.z eager\n").unwrap();
+        let mut live = Backend::new(opts(), Sink::Null, Some(journal));
+        with_quiet_panics(|| feed(&mut live, script, usize::MAX));
+        let probe = "open h.z eager\n";
+        let live_reply = feed(&mut live, probe, 1).remove(0);
         drop(live); // SIGKILL stand-in.
 
         // A resumed daemon must refuse the same open with the same bytes.
         // Re-feed the original input first: the resume cursor skips those
         // lines, then the probe lands at the same position as live.
         let events = fjs_core::service::ServeJournal::load(&journal_path).unwrap();
-        let mut resumed = Server::new(opts(), Sink::Null, None);
+        let mut resumed = Backend::new(opts(), Sink::Null, None);
         with_quiet_panics(|| resumed.resume(&events).unwrap());
-        let mut offset = 0u64;
-        for line in script.split_inclusive('\n') {
-            assert!(resumed.handle_line(offset, line).is_none());
-            offset += line.len() as u64;
-        }
-        let resumed_reply = resumed.handle_line(offset, "open h.z eager\n").unwrap();
+        assert!(feed(&mut resumed, script, usize::MAX).is_empty());
+        let resumed_reply = feed(&mut resumed, probe, 1).remove(0);
         assert_eq!(
             resumed_reply, live_reply,
             "breaker state must replay bit-identically from the journal"

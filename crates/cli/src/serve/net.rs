@@ -486,8 +486,8 @@ pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Re
     let ids = Arc::new(AtomicU64::new(1));
     let retries = Arc::new(AtomicU64::new(0));
     let caps = ConnCaps {
-        max_frame: backend.max_frame_bytes(),
-        writer_queue: backend.writer_queue(),
+        max_frame: backend.opts().max_frame_bytes,
+        writer_queue: backend.opts().writer_queue,
     };
     let mut accept_threads = Vec::new();
     for listener in listeners {
@@ -503,7 +503,7 @@ pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Re
 
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut out: Vec<(u64, String)> = Vec::new();
-    let throttle = backend.throttle_ms();
+    let throttle = backend.opts().throttle_ms;
     let mut fatal: Option<String> = None;
     loop {
         if stop_requested() || backend.halted() {

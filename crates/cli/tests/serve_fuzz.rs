@@ -8,7 +8,8 @@
 //! 1. the daemon survives — the clean tenant saw only `ok` replies and a
 //!    post-chaos probe schedules end-to-end;
 //! 2. containment is perfect — the clean tenant's decision-log lines are
-//!    byte-identical to a serial reference run of the same script.
+//!    byte-identical to the golden log of the same script, recorded from
+//!    the single-threaded server (`tests/golden/serve/fuzz-clean.*`).
 //!
 //! CI runs the same harness at full scale (10k frames, unix + TCP); this
 //! is the in-tree guard at a few hundred frames.
@@ -19,7 +20,7 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use fjs_cli::fuzz::{run_fuzz_serve, FuzzServeOptions};
-use fjs_cli::{run_script, DriveTarget, ServeOptions};
+use fjs_cli::DriveTarget;
 
 #[test]
 fn chaos_run_leaves_daemon_healthy_and_clean_tenant_untouched() {
@@ -90,8 +91,8 @@ fn chaos_run_leaves_daemon_healthy_and_clean_tenant_untouched() {
     assert!(status.success(), "daemon exited {status}");
 
     // Clean-tenant containment: its log lines (sids `c0..c3`) must equal
-    // a serial reference run of the emitted clean script, byte for byte,
-    // no matter what the fuzz tenants did on neighbouring connections.
+    // the golden log of the emitted clean script, byte for byte, no
+    // matter what the fuzz tenants did on neighbouring connections.
     let fuzz_log = std::fs::read_to_string(&log_path).unwrap();
     let clean_lines: String = fuzz_log
         .lines()
@@ -99,12 +100,17 @@ fn chaos_run_leaves_daemon_healthy_and_clean_tenant_untouched() {
         .map(|l| format!("{l}\n"))
         .collect();
     let script = std::fs::read_to_string(&clean_path).unwrap();
-    let reference = run_script(&script, ServeOptions::default()).unwrap();
     assert_eq!(
-        clean_lines, reference.log,
-        "clean tenant's log must be byte-identical to a serial reference"
+        script,
+        include_str!("golden/serve/fuzz-clean.script"),
+        "the clean tenant's script is seeded"
     );
-    assert!(!reference.log.is_empty(), "reference run produced no log");
+    let reference = include_str!("golden/serve/fuzz-clean.log");
+    assert_eq!(
+        clean_lines, reference,
+        "clean tenant's log must be byte-identical to the golden log"
+    );
+    assert!(!reference.is_empty(), "golden log is empty");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,7 +4,7 @@
 //! the spans the batch engine computes for the same instance, and a
 //! poisoned session must never leak into its neighbours.
 
-use fjs_cli::serve::{run_script, run_script_pooled, ServeOptions};
+use fjs_cli::serve::{run_script, ServeOptions};
 use fjs_core::job::{Instance, Job};
 use fjs_core::supervise::with_quiet_panics;
 use fjs_schedulers::SchedulerKind;
@@ -108,9 +108,10 @@ fn serve_decision_stream_is_deterministic_per_scheduler() {
 }
 
 /// The worker pool's determinism contract: for a script interleaving
-/// every registered scheduler across concurrent sessions, the pooled
-/// backend must produce the serial backend's decision log and replies
-/// byte for byte, at every worker count.
+/// every registered scheduler across concurrent sessions, every worker
+/// count must produce the one-worker (inline, formerly serial) decision
+/// log and replies byte for byte; `serve_golden.rs` pins those against
+/// the fixtures recorded from the old serial server.
 #[test]
 fn pooled_backend_is_byte_identical_to_serial() {
     let kinds = SchedulerKind::registered_set();
@@ -128,21 +129,21 @@ fn pooled_backend_is_byte_identical_to_serial() {
         script.push_str(&format!("close n{i}\n"));
     }
 
-    let serial = run_script(&script, ServeOptions::default()).expect("serial run");
+    let serial = run_script(&script, ServeOptions::default()).expect("one-worker run");
     assert!(serial.summary.halted.is_none());
     for workers in [1, 2, 3, 8] {
         let opts = ServeOptions {
             workers,
             ..ServeOptions::default()
         };
-        let pooled = run_script_pooled(&script, opts).expect("pooled run");
+        let pooled = run_script(&script, opts).expect("pooled run");
         assert_eq!(
             serial.log, pooled.log,
-            "workers={workers}: decision log must match the serial backend"
+            "workers={workers}: decision log must match the one-worker run"
         );
         assert_eq!(
             serial.replies, pooled.replies,
-            "workers={workers}: replies must match the serial backend"
+            "workers={workers}: replies must match the one-worker run"
         );
         assert_eq!(
             serial.summary.jobs, pooled.summary.jobs,
@@ -158,7 +159,7 @@ fn pooled_backend_is_byte_identical_to_serial() {
 /// A poisoned session sharded onto one worker must not stall its
 /// sibling workers' sessions: the pooled run completes, the poisoned
 /// session gets a typed verdict, and every healthy session's log equals
-/// its clean serial run.
+/// its clean one-worker run.
 #[test]
 fn pooled_poison_session_does_not_stall_siblings() {
     let kinds = SchedulerKind::registered_set();
@@ -193,7 +194,7 @@ fn pooled_poison_session_does_not_stall_siblings() {
             watchdog_events: 5_000,
             ..ServeOptions::default()
         };
-        let out = with_quiet_panics(|| run_script_pooled(&script, opts).unwrap());
+        let out = with_quiet_panics(|| run_script(&script, opts).unwrap());
         let bad_close = out
             .log
             .lines()

@@ -7,9 +7,9 @@
 //!
 //! * [`TenantQuotas`] — caps on resident jobs and admitted payload bytes
 //!   across all of one tenant's open sessions, enforced where the exact
-//!   session state lives (inline in the serial server; on the owning
-//!   worker under a pool, which is why the dispatcher shards sessions by
-//!   *tenant* hash — co-location makes the check exact and deterministic).
+//!   session state lives: on the owning pool worker, which is why the
+//!   dispatcher shards sessions by *tenant* hash — co-location makes the
+//!   check exact and deterministic at any worker count).
 //! * [`TenantBreakers`] — a circuit breaker per tenant: repeated
 //!   non-`Completed` close verdicts open the breaker, subsequent `open`s
 //!   are refused with a structured `busy breaker-open` reply, and after a
@@ -179,9 +179,7 @@ impl TenantBreakers {
         self.clock
     }
 
-    /// `true` when the tenant's breaker is open or half-open — the
-    /// pooled dispatcher uses this to decide whether an `open` needs the
-    /// global clock settled to input order first.
+    /// `true` when the tenant's breaker is open or half-open.
     pub fn is_restricted(&self, tenant: &str) -> bool {
         self.cfg.threshold > 0
             && self
@@ -289,8 +287,8 @@ impl TenantBreakers {
     }
 
     /// Rolls back a half-open probe reservation whose open then failed
-    /// (duplicate sid or invalid spec — checks that run after the breaker
-    /// so both server backends agree on reply order). Failed opens are
+    /// (an invalid spec — checked after the breaker, in the admission
+    /// order the serve replies pin). Failed opens are
     /// not journaled, and reserve+rollback nets to no state change, so
     /// replay stays consistent.
     pub fn abort_open(&mut self, sid: &str) {

@@ -1,26 +1,31 @@
 //! A worker pool that shards [`Session`]s across threads.
 //!
 //! `fjs serve` at `--workers N` dispatches every session to one of `N`
-//! resident worker threads chosen by a **stable hash of the session's
-//! tenant** ([`stable_shard`] over [`tenant_of`]), so all requests of one
-//! session — and of every sibling session of its tenant — apply on one
-//! thread in submission order. Tenant co-location is what makes the
-//! governor's per-tenant quotas exact: the owning worker can sum resident
-//! jobs and admitted bytes over the whole tenant without racing anyone. Each submitted request carries a **global
-//! sequence number** assigned by the dispatcher; replies come back tagged
-//! with it, and the dispatcher merges decision-log and journal lines in
-//! sequence order — the same index-ordered merge discipline as the
-//! sharded sweep executor in `fjs-analysis` — which makes
-//! the merged output a pure function of the request stream, independent
-//! of the worker count.
+//! workers chosen by a **stable hash of the session's tenant**
+//! ([`stable_shard`] over [`tenant_of`]), so all requests of one session —
+//! and of every sibling session of its tenant — apply on one worker in
+//! submission order. Tenant co-location is what makes the governor's
+//! per-tenant quotas exact: the owning worker can sum resident jobs and
+//! admitted bytes over the whole tenant without racing anyone. Each
+//! submitted request carries a **global sequence number** assigned by the
+//! dispatcher; replies come back tagged with it, and the dispatcher merges
+//! decision-log and journal lines in sequence order — the same
+//! index-ordered merge discipline as the sharded sweep executor in
+//! `fjs-analysis` — which makes the merged output a pure function of the
+//! request stream, independent of the worker count.
 //!
 //! Why this is deterministic: a session's observable behaviour (its
 //! decisions, its span, its shed/terminal outcomes) is a function of its
 //! *own* request subsequence only — simulation time advances with offers,
 //! never with wall clock. Requests of one session are FIFO on one worker,
-//! so every per-request reply equals the reply a single-threaded server
-//! would have produced, and the sequence-ordered merge reproduces the
-//! single-threaded interleaving byte for byte.
+//! so every per-request reply is the same at any worker count, and the
+//! sequence-ordered merge reproduces the same interleaving byte for byte.
+//!
+//! With one worker the pool spawns no thread: the worker runs **inline**
+//! on the caller's thread inside [`SessionPool::submit`], and its replies
+//! wait in a local queue for [`SessionPool::try_recv`]. The request and
+//! reply types, and the worker code that handles them, are the same at
+//! every width.
 //!
 //! The pool is deliberately free of any protocol or I/O concern: it
 //! receives typed [`PoolRequest`]s and returns typed [`PoolReply`]s. The
@@ -28,7 +33,9 @@
 //! the global open-set, which only the dispatcher sees in input order),
 //! journaling and rendering.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -105,8 +112,7 @@ pub struct SessionSnapshot {
     pub events_total: usize,
 }
 
-/// What a worker did with a request. Every variant mirrors one arm of the
-/// single-threaded server's dispatch, including which ones count as
+/// What a worker did with a request, including which outcomes count as
 /// *admitted* (and therefore journaled) versus shed or rejected.
 #[derive(Clone, Debug)]
 pub enum PoolReply {
@@ -165,8 +171,7 @@ pub enum PoolReply {
     OfferRejected {
         /// The validation error.
         error: SessionError,
-        /// Always empty (kept so the reply shape mirrors the serial
-        /// server's unconditional decision flush).
+        /// Always empty: a rejected offer mutates nothing.
         decisions: Vec<Decision>,
     },
     /// The session closed.
@@ -183,7 +188,7 @@ pub enum PoolReply {
     /// Stats probe.
     Stats(SessionSnapshot),
     /// The worker has no such session (dispatcher-directory
-    /// inconsistency; rendered as the serial `no such session` error).
+    /// inconsistency; rendered as the `no such session` error).
     NoSession,
 }
 
@@ -207,10 +212,14 @@ impl WorkerReport {
 struct Task {
     seq: u64,
     req: PoolRequest,
+    /// A journaled request being replayed: applied without admission
+    /// checks, because the live run already admitted it.
+    replay: bool,
 }
 
 struct Slot {
-    session: Session,
+    /// Boxed: a `Session` is large, and the map moves its values around.
+    session: Box<Session>,
     jobs: u64,
 }
 
@@ -239,67 +248,79 @@ impl Worker {
         }
         (resident, bytes)
     }
-    fn note_peaks(&mut self, sid: &str) {
-        if let Some(slot) = self.sessions.get(sid) {
-            self.report.peak_retained = self
-                .report
-                .peak_retained
-                .max(slot.session.peak_retained_records());
-            self.report.peak_live_segments = self
-                .report
-                .peak_live_segments
-                .max(slot.session.peak_live_segments());
+
+    fn note_peaks(report: &mut WorkerReport, session: &Session) {
+        report.peak_retained = report.peak_retained.max(session.peak_retained_records());
+        report.peak_live_segments = report.peak_live_segments.max(session.peak_live_segments());
+    }
+
+    fn new(factory: SessionFactory, max_pending: usize, quotas: TenantQuotas) -> Worker {
+        Worker {
+            sessions: BTreeMap::new(),
+            factory,
+            max_pending,
+            quotas,
+            report: WorkerReport::default(),
         }
     }
 
-    fn handle(&mut self, req: PoolRequest) -> PoolReply {
+    /// The admission checks a live offer passes before it is applied:
+    /// terminal verdict, per-session resident cap, tenant quotas.
+    fn admit(&self, sid: &str, offer: &JobOffer) -> Option<PoolReply> {
+        let slot = self.sessions.get(sid)?;
+        if let Some(v) = slot.session.verdict() {
+            return Some(PoolReply::OfferTerminal { verdict: v.clone() });
+        }
+        let resident = slot.session.num_pending() + slot.session.num_running();
+        if resident >= self.max_pending {
+            return Some(PoolReply::OfferShed { resident });
+        }
+        if !self.quotas.enabled() {
+            return None;
+        }
+        let tenant = tenant_of(sid);
+        let (t_resident, t_bytes) = self.tenant_usage(tenant);
+        if self.quotas.max_pending > 0 && t_resident >= self.quotas.max_pending {
+            return Some(PoolReply::OfferTenantShed {
+                tenant: tenant.to_string(),
+                cause: TenantShedCause::Pending,
+                used: t_resident as u64,
+                limit: self.quotas.max_pending as u64,
+            });
+        }
+        if self.quotas.max_bytes > 0 && t_bytes + offer.canonical_bytes() > self.quotas.max_bytes {
+            return Some(PoolReply::OfferTenantShed {
+                tenant: tenant.to_string(),
+                cause: TenantShedCause::Bytes,
+                used: t_bytes,
+                limit: self.quotas.max_bytes,
+            });
+        }
+        None
+    }
+
+    fn handle(&mut self, req: PoolRequest, replay: bool) -> PoolReply {
         match req {
             PoolRequest::Open { sid, spec } => {
-                if self.sessions.contains_key(&sid) {
+                let Entry::Vacant(vacant) = self.sessions.entry(sid) else {
                     return PoolReply::OpenFailed {
                         error: "session already open".into(),
                     };
-                }
+                };
                 match (self.factory)(&spec) {
                     Ok(session) => {
                         let name = session.scheduler_name();
-                        self.sessions.insert(sid, Slot { session, jobs: 0 });
+                        let session = Box::new(session);
+                        vacant.insert(Slot { session, jobs: 0 });
                         PoolReply::Opened { name }
                     }
                     Err(error) => PoolReply::OpenFailed { error },
                 }
             }
             PoolRequest::Offer { sid, offer } => {
-                let Some(slot) = self.sessions.get_mut(&sid) else {
-                    return PoolReply::NoSession;
-                };
-                if let Some(v) = slot.session.verdict() {
-                    return PoolReply::OfferTerminal { verdict: v.clone() };
-                }
-                let resident = slot.session.num_pending() + slot.session.num_running();
-                if resident >= self.max_pending {
-                    return PoolReply::OfferShed { resident };
-                }
-                if self.quotas.enabled() {
-                    let tenant = tenant_of(&sid).to_string();
-                    let (t_resident, t_bytes) = self.tenant_usage(&tenant);
-                    if self.quotas.max_pending > 0 && t_resident >= self.quotas.max_pending {
-                        return PoolReply::OfferTenantShed {
-                            tenant,
-                            cause: TenantShedCause::Pending,
-                            used: t_resident as u64,
-                            limit: self.quotas.max_pending as u64,
-                        };
-                    }
-                    if self.quotas.max_bytes > 0
-                        && t_bytes + offer.canonical_bytes() > self.quotas.max_bytes
-                    {
-                        return PoolReply::OfferTenantShed {
-                            tenant,
-                            cause: TenantShedCause::Bytes,
-                            used: t_bytes,
-                            limit: self.quotas.max_bytes,
-                        };
+                if !replay {
+                    if let Some(shed) = self.admit(&sid, &offer) {
+                        return shed;
                     }
                 }
                 let Some(slot) = self.sessions.get_mut(&sid) else {
@@ -311,7 +332,8 @@ impl Worker {
                 }
                 let decisions = slot.session.take_decisions();
                 let span = slot.session.span();
-                let reply = match outcome {
+                Self::note_peaks(&mut self.report, &slot.session);
+                match outcome {
                     Ok(id) => PoolReply::OfferAdmitted {
                         id,
                         span,
@@ -321,9 +343,7 @@ impl Worker {
                         PoolReply::OfferPoisoned { verdict, decisions }
                     }
                     Err(error) => PoolReply::OfferRejected { error, decisions },
-                };
-                self.note_peaks(&sid);
-                reply
+                }
             }
             PoolRequest::Close { sid } => {
                 let Some(mut slot) = self.sessions.remove(&sid) else {
@@ -332,14 +352,7 @@ impl Worker {
                 let verdict = slot.session.close();
                 let span = slot.session.span();
                 let decisions = slot.session.take_decisions();
-                self.report.peak_retained = self
-                    .report
-                    .peak_retained
-                    .max(slot.session.peak_retained_records());
-                self.report.peak_live_segments = self
-                    .report
-                    .peak_live_segments
-                    .max(slot.session.peak_live_segments());
+                Self::note_peaks(&mut self.report, &slot.session);
                 PoolReply::Closed {
                     verdict,
                     span,
@@ -365,31 +378,51 @@ impl Worker {
     }
 }
 
-/// The pool: `workers` resident threads, per-worker FIFO request
-/// channels, one shared reply channel tagged with global sequence
-/// numbers. Scheduler panics are already contained inside [`Session`];
-/// the threads themselves only die if the process is torn down around
-/// them, which [`SessionPool::submit`] reports as an error.
+/// The pool: `workers` resident threads with per-worker FIFO request
+/// channels and one shared reply channel tagged with global sequence
+/// numbers — or, at one worker, the worker itself, run inline. Scheduler
+/// panics are already contained inside [`Session`]; the threads only die
+/// if the process is torn down around them, which
+/// [`SessionPool::submit`] reports as an error.
 pub struct SessionPool {
-    txs: Vec<mpsc::Sender<Task>>,
-    rx: mpsc::Receiver<(u64, PoolReply)>,
-    handles: Vec<std::thread::JoinHandle<WorkerReport>>,
+    lanes: Lanes,
+}
+
+enum Lanes {
+    /// One worker on the caller's thread; replies queue until received.
+    Inline {
+        worker: RefCell<Worker>,
+        ready: RefCell<VecDeque<(u64, PoolReply)>>,
+    },
+    Threads {
+        txs: Vec<mpsc::Sender<Task>>,
+        rx: mpsc::Receiver<(u64, PoolReply)>,
+        handles: Vec<std::thread::JoinHandle<WorkerReport>>,
+    },
 }
 
 impl SessionPool {
-    /// Spawns `workers` threads (at least 1). `max_pending` is the
-    /// per-session resident-job cap enforced on the owning worker — the
-    /// worker sees its session's exact state after all prior requests,
-    /// so the shed decision is identical to a single-threaded server's.
-    /// `quotas` are the per-tenant caps (off by default), exact under
-    /// tenant-sharded dispatch for the same reason.
+    /// Builds `workers` workers (at least 1); above one, each runs on its
+    /// own thread. `max_pending` is the per-session resident-job cap
+    /// enforced on the owning worker — the worker sees its session's
+    /// exact state after all prior requests, so the shed decision does not
+    /// depend on the worker count. `quotas` are the per-tenant caps (off
+    /// by default), exact under tenant-sharded dispatch for the same
+    /// reason.
     pub fn new(
         workers: usize,
         max_pending: usize,
         quotas: TenantQuotas,
         factory: SessionFactory,
     ) -> SessionPool {
-        let workers = workers.max(1);
+        if workers <= 1 {
+            return SessionPool {
+                lanes: Lanes::Inline {
+                    worker: RefCell::new(Worker::new(factory, max_pending, quotas)),
+                    ready: RefCell::new(VecDeque::new()),
+                },
+            };
+        }
         let (reply_tx, rx) = mpsc::channel::<(u64, PoolReply)>();
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -398,15 +431,9 @@ impl SessionPool {
             let reply_tx = reply_tx.clone();
             let factory = Arc::clone(&factory);
             handles.push(std::thread::spawn(move || {
-                let mut w = Worker {
-                    sessions: BTreeMap::new(),
-                    factory,
-                    max_pending,
-                    quotas,
-                    report: WorkerReport::default(),
-                };
+                let mut w = Worker::new(factory, max_pending, quotas);
                 while let Ok(task) = task_rx.recv() {
-                    let reply = w.handle(task.req);
+                    let reply = w.handle(task.req, task.replay);
                     if reply_tx.send((task.seq, reply)).is_err() {
                         break;
                     }
@@ -415,46 +442,96 @@ impl SessionPool {
             }));
             txs.push(tx);
         }
-        SessionPool { txs, rx, handles }
+        SessionPool {
+            lanes: Lanes::Threads { txs, rx, handles },
+        }
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.txs.len()
+        match &self.lanes {
+            Lanes::Inline { .. } => 1,
+            Lanes::Threads { txs, .. } => txs.len(),
+        }
     }
 
     /// Queues a request on `worker` (see [`stable_shard`]) tagged `seq`.
     pub fn submit(&self, worker: usize, seq: u64, req: PoolRequest) -> Result<(), String> {
-        let tx = self
-            .txs
-            .get(worker)
-            .ok_or_else(|| format!("no such worker {worker}"))?;
-        tx.send(Task { seq, req })
-            .map_err(|_| format!("worker {worker} is gone"))
+        self.send(
+            worker,
+            Task {
+                seq,
+                req,
+                replay: false,
+            },
+        )
+    }
+
+    /// Like [`SessionPool::submit`], for a request replayed from the
+    /// journal: an offer skips the admission checks (terminal verdict,
+    /// resident cap, tenant quotas), since the live run admitted it.
+    pub fn replay(&self, worker: usize, seq: u64, req: PoolRequest) -> Result<(), String> {
+        self.send(
+            worker,
+            Task {
+                seq,
+                req,
+                replay: true,
+            },
+        )
+    }
+
+    fn send(&self, worker: usize, task: Task) -> Result<(), String> {
+        match &self.lanes {
+            Lanes::Inline { worker: w, ready } if worker == 0 => {
+                let reply = w.borrow_mut().handle(task.req, task.replay);
+                ready.borrow_mut().push_back((task.seq, reply));
+                Ok(())
+            }
+            Lanes::Inline { .. } => Err(format!("no such worker {worker}")),
+            Lanes::Threads { txs, .. } => txs
+                .get(worker)
+                .ok_or_else(|| format!("no such worker {worker}"))?
+                .send(task)
+                .map_err(|_| format!("worker {worker} is gone")),
+        }
     }
 
     /// A completed reply, if one is ready.
     pub fn try_recv(&self) -> Option<(u64, PoolReply)> {
-        self.rx.try_recv().ok()
+        match &self.lanes {
+            Lanes::Inline { ready, .. } => ready.borrow_mut().pop_front(),
+            Lanes::Threads { rx, .. } => rx.try_recv().ok(),
+        }
     }
 
-    /// Waits up to `timeout` for a completed reply.
+    /// Waits up to `timeout` for a completed reply. The inline worker has
+    /// finished every request by the time `submit` returns, so it never
+    /// waits.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, PoolReply)> {
-        self.rx.recv_timeout(timeout).ok()
+        match &self.lanes {
+            Lanes::Inline { ready, .. } => ready.borrow_mut().pop_front(),
+            Lanes::Threads { rx, .. } => rx.recv_timeout(timeout).ok(),
+        }
     }
 
     /// Stops every worker (their queues drain first) and merges their
     /// peak reports. Sessions still resident are dropped without a close
     /// — callers drain before shutting down.
     pub fn shutdown(self) -> WorkerReport {
-        drop(self.txs);
-        let mut merged = WorkerReport::default();
-        for h in self.handles {
-            if let Ok(report) = h.join() {
-                merged.merge(report);
+        match self.lanes {
+            Lanes::Inline { worker, .. } => worker.into_inner().report,
+            Lanes::Threads { txs, handles, .. } => {
+                drop(txs);
+                let mut merged = WorkerReport::default();
+                for h in handles {
+                    if let Ok(report) = h.join() {
+                        merged.merge(report);
+                    }
+                }
+                merged
             }
         }
-        merged
     }
 }
 
@@ -606,6 +683,40 @@ mod tests {
             matches!(replies.get(&0), Some(PoolReply::OpenFailed { error }) if error.contains("bogus"))
         );
         assert!(matches!(replies.get(&1), Some(PoolReply::NoSession)));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn replayed_offers_skip_admission_checks() {
+        // One inline worker, resident cap 1: the second same-window
+        // offer sheds when submitted live, but a replayed one applies.
+        let pool = SessionPool::new(1, 1, TenantQuotas::off(), factory());
+        let open = |sid: &str| PoolRequest::Open {
+            sid: sid.into(),
+            spec: "eager".into(),
+        };
+        let job = |sid: &str, a: f64| PoolRequest::Offer {
+            sid: sid.into(),
+            offer: offer(a, a + 5.0, 10.0),
+        };
+        pool.submit(0, 0, open("live")).unwrap();
+        pool.submit(0, 1, job("live", 0.0)).unwrap();
+        pool.submit(0, 2, job("live", 1.0)).unwrap();
+        pool.replay(0, 3, open("replayed")).unwrap();
+        pool.replay(0, 4, job("replayed", 0.0)).unwrap();
+        pool.replay(0, 5, job("replayed", 1.0)).unwrap();
+        let replies: Vec<_> = std::iter::from_fn(|| pool.try_recv()).collect();
+        assert_eq!(
+            replies.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5],
+            "the inline worker answers in submission order"
+        );
+        assert!(matches!(replies[2].1, PoolReply::OfferShed { resident: 1 }));
+        assert!(matches!(replies[5].1, PoolReply::OfferAdmitted { .. }));
+        assert!(
+            pool.submit(1, 6, job("live", 2.0)).is_err(),
+            "one worker only"
+        );
         pool.shutdown();
     }
 
