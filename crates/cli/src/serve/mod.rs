@@ -5,8 +5,8 @@
 //! registry) over a line protocol ([`protocol`]) read from a file, stdin
 //! or a unix socket. Decisions stream out incrementally — `start`/`done`
 //! deltas plus a running span — and full history is never materialized:
-//! per-session state is O(pending jobs) thanks to the span accountant and
-//! completed-prefix compaction inside the service layer.
+//! per-session state is O(pending jobs) thanks to the engine core's
+//! running span and completed-prefix compaction inside the service layer.
 //!
 //! One backend serves every `--workers` value: [`Backend`] (in
 //! [`dispatch`]) parses, admits, journals and renders on the calling
@@ -201,7 +201,8 @@ pub struct ServeSummary {
     /// memory bound: this stays flat no matter how many jobs stream
     /// through.
     pub peak_retained: usize,
-    /// Peak live (unretired) span segments in any single session.
+    /// Peak live span segments in any single session: `0` until some
+    /// session starts a job, `1` after (the running span keeps one).
     pub peak_live_segments: usize,
     /// Socket connections accepted over the run.
     pub connections: u64,

@@ -28,22 +28,28 @@ fn deck() -> Vec<(f64, f64, f64)> {
     ]
 }
 
-fn instance() -> Instance {
-    Instance::new(
-        deck()
-            .into_iter()
-            .map(|(a, d, p)| Job::adp(a, d, p))
-            .collect(),
-    )
+/// Two zero-laxity jobs where the second starts exactly when the first
+/// completes: the union `[0.1, 1.1)` measures `1`, while summing the two
+/// pieces separately gives `1.0000000000000002`.
+fn touching_pair() -> Vec<(f64, f64, f64)> {
+    vec![(0.1, 0.1, 0.1), (0.2, 0.2, 0.9)]
 }
 
-fn script_for(kind: SchedulerKind) -> String {
+fn instance_of(jobs: &[(f64, f64, f64)]) -> Instance {
+    Instance::new(jobs.iter().map(|&(a, d, p)| Job::adp(a, d, p)).collect())
+}
+
+fn script_of(kind: SchedulerKind, jobs: &[(f64, f64, f64)]) -> String {
     let mut s = format!("open x {}\n", kind.short_name());
-    for (a, d, p) in deck() {
+    for (a, d, p) in jobs {
         s.push_str(&format!("job x {a},{d},{p}\n"));
     }
     s.push_str("close x\n");
     s
+}
+
+fn script_for(kind: SchedulerKind) -> String {
+    script_of(kind, &deck())
 }
 
 /// Extracts the `span=` value (as rendered text, so the comparison is
@@ -58,8 +64,14 @@ fn close_span(log: &str) -> String {
 
 #[test]
 fn every_registered_scheduler_matches_its_batch_span() {
+    for jobs in [deck(), touching_pair()] {
+        matches_batch_span_on(&jobs);
+    }
+}
+
+fn matches_batch_span_on(jobs: &[(f64, f64, f64)]) {
     for kind in SchedulerKind::registered_set() {
-        let out = run_script(&script_for(kind), ServeOptions::default())
+        let out = run_script(&script_of(kind, jobs), ServeOptions::default())
             .unwrap_or_else(|e| panic!("{}: serve script failed: {e}", kind.label()));
         assert!(
             out.summary.halted.is_none(),
@@ -67,8 +79,8 @@ fn every_registered_scheduler_matches_its_batch_span() {
             kind.label(),
             out.summary.halted
         );
-        assert_eq!(out.summary.jobs, deck().len() as u64, "{}", kind.label());
-        let batch = kind.run_on(&instance());
+        assert_eq!(out.summary.jobs, jobs.len() as u64, "{}", kind.label());
+        let batch = kind.run_on(&instance_of(jobs));
         assert!(
             batch.termination.is_completed(),
             "{}: batch run must complete",
@@ -85,7 +97,7 @@ fn every_registered_scheduler_matches_its_batch_span() {
         let dones = out.log.lines().filter(|l| l.contains(" done ")).count();
         assert_eq!(
             (starts, dones),
-            (deck().len(), deck().len()),
+            (jobs.len(), jobs.len()),
             "{}",
             kind.label()
         );

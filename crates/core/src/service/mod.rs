@@ -6,10 +6,10 @@
 //! arrival streams with O(pending) memory, emit decisions incrementally,
 //! and fail independently:
 //!
-//! * [`session`] — the per-session drive loop: a verbatim mirror of the
-//!   batch engine's event ordering and action validation, plus panic
-//!   containment ([`SessionVerdict`]), a cumulative watchdog budget, span
-//!   accounting via [`crate::interval::SpanAccountant`], and completed-
+//! * [`session`] — one resident scheduler: the batch engine's event core
+//!   ([`crate::sim::engine`]) fed one offer at a time, plus offer
+//!   validation, panic containment ([`SessionVerdict`]), a cumulative
+//!   watchdog budget, the incremental decision stream, and completed-
 //!   record compaction;
 //! * [`checkpoint`] — the crash-safe [`ServeJournal`] that makes a killed
 //!   daemon resumable to a byte-identical decision log;

@@ -1,26 +1,28 @@
-//! A resident scheduling session: the incremental analogue of the batch
-//! engine's drive loop.
+//! A resident scheduling session: the batch engine's event core, fed one
+//! job at a time.
 //!
-//! [`Session`] owns one scheduler and one [`World`] and accepts jobs one at
-//! a time via [`Session::offer`], in arrival order, with no bound on how
-//! many will ever arrive. Between offers it holds the pending event queue
-//! (deadline alarms, ordered starts, completions, wakeups) exactly as the
-//! batch engine would; each offer first drains every queued event that
-//! precedes the new arrival in the engine's `(time, tie-order)` total
-//! order, then releases the job and dispatches `on_arrival`. Because the
-//! tie-break orders are copied verbatim from the engine
-//! ([`crate::sim::engine`]), a session fed a trace job-by-job makes the
-//! same decisions, in the same order, as [`crate::sim::run_static`] over
-//! the whole trace — the determinism contract `fjs serve` advertises.
+//! [`Session`] owns one scheduler and accepts jobs one at a time via
+//! [`Session::offer`], in arrival order, with no bound on how many will
+//! ever arrive. It wraps the very core [`crate::sim::run_static`] drains
+//! (see [`crate::sim::engine`]): each offer drives the core through every
+//! queued event that precedes the new arrival in the engine's
+//! `(time, tie-order)` total order, then releases the job, and
+//! [`Session::close`] drains the rest. Because there is no second loop, a
+//! session fed a trace job-by-job makes the same decisions, in the same
+//! order, and reaches the same span bit for bit as a batch run over the
+//! whole trace — the determinism contract `fjs serve` advertises.
 //!
-//! Three properties distinguish a session from a batch run:
+//! What the wrapper adds to the core:
 //!
-//! * **O(pending) memory.** Spans are accumulated by a
-//!   [`SpanAccountant`] (closed intervals retire into a scalar) and
-//!   completed job records are dropped by
-//!   `World::compact_completed_prefix`, so resident state is proportional
-//!   to the jobs in flight, not the jobs ever seen.
-//! * **Containment.** Every entry point runs the scheduler under
+//! * **Validation.** An offer that regresses the arrival frontier or
+//!   carries a bad deadline or length is refused with a typed
+//!   [`SessionError`] before it touches any state.
+//! * **O(pending) memory.** The span is the core's
+//!   [`RunningSpan`](crate::interval::RunningSpan) (one open segment plus a
+//!   closed scalar), and the session's sink drops completed job records by
+//!   prefix compaction after each completion, so resident state is
+//!   proportional to the jobs in flight, not the jobs ever seen.
+//! * **Containment.** Every entry point runs the core under
 //!   [`catch_unwind`] with a cumulative event budget; a panic, a runaway
 //!   wakeup loop, or a horizon overflow poisons *this* session with a
 //!   typed [`SessionVerdict`] (mirroring the supervise layer's verdicts)
@@ -29,74 +31,18 @@
 //!   span and are drained by the caller as they happen; nothing waits for
 //!   the end of the trace.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::interval::{Interval, SpanAccountant};
+use crate::interval::RunningSpan;
 use crate::job::JobId;
-use crate::sim::env::{geometric_class, Clairvoyance};
-use crate::sim::sched::{Action, Arrival, Ctx, OnlineScheduler};
+use crate::sim::engine::{Core, EnvFault, Halt, Sink};
+use crate::sim::env::{Clairvoyance, Environment, JobSpec};
+use crate::sim::sched::OnlineScheduler;
 use crate::sim::stats::RunStats;
 use crate::sim::world::World;
 use crate::supervise::{panic_message, DEFAULT_WATCHDOG_EVENTS};
 use crate::time::{Dur, Time};
-
-// ---- event queue (verbatim mirror of the batch engine's ordering) -------
-
-/// Same-instant tie-break order, copied from the batch engine: completions
-/// first, then releases (order 1, held by the arriving offer itself), then
-/// ordered starts, deadline alarms, wakeups. Fixed-length sessions never
-/// queue length probes (order 3), so that slot is simply unused.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EventKind {
-    Completion(JobId),
-    OrderedStart(JobId),
-    DeadlineAlarm(JobId),
-    Wakeup(u64),
-}
-
-impl EventKind {
-    fn order(self) -> u8 {
-        match self {
-            EventKind::Completion(_) => 0,
-            EventKind::OrderedStart(_) => 2,
-            EventKind::DeadlineAlarm(_) => 4,
-            EventKind::Wakeup(_) => 5,
-        }
-    }
-}
-
-/// Tie-break rank of a release, between completions and ordered starts.
-const RELEASE_ORDER: u8 = 1;
-
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    time: Time,
-    order: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.order, self.seq).cmp(&(other.time, other.order, other.seq))
-    }
-}
-
-// ---- public surface ------------------------------------------------------
 
 /// A job offered to a session (the streaming analogue of a trace record).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -286,34 +232,67 @@ impl fmt::Display for Decision {
     }
 }
 
-/// Outcome the session tried to reach internally: `Ok` to keep going, or
-/// the terminal verdict that poisons it.
-type Step = Result<(), SessionVerdict>;
+/// The session core's environment: jobs arrive through [`Session::offer`],
+/// never on a release schedule, and their lengths are fixed at the offer,
+/// so the core never asks for a ruling.
+struct Offers(Clairvoyance);
+
+impl Environment for Offers {
+    fn clairvoyance(&self) -> Clairvoyance {
+        self.0
+    }
+
+    fn next_release_time(&mut self, _world: &World) -> Option<Time> {
+        None
+    }
+
+    fn release_at(&mut self, _now: Time, _world: &World) -> Vec<JobSpec> {
+        Vec::new()
+    }
+}
+
+/// The session's sink: streams start/finish decisions and compacts the
+/// completed prefix of the world after each completion. Violations and
+/// rejected actions are only counted in [`RunStats`]; trace events are
+/// dropped.
+#[derive(Default)]
+struct Decisions(Vec<Decision>);
+
+impl Sink for Decisions {
+    fn started(&mut self, id: JobId, at: Time, span: &RunningSpan) {
+        self.0.push(Decision {
+            kind: DecisionKind::Start,
+            id,
+            at,
+            span: span.total(),
+        });
+    }
+
+    fn completed(&mut self, id: JobId, at: Time, span: &RunningSpan, world: &mut World) {
+        self.0.push(Decision {
+            kind: DecisionKind::Finish,
+            id,
+            at,
+            span: span.total(),
+        });
+        world.compact_completed_prefix();
+    }
+}
 
 /// One resident scheduler instance (see module docs).
 pub struct Session {
-    world: World,
-    sched: Box<dyn OnlineScheduler>,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    scratch: Vec<Action>,
-    span: SpanAccountant,
-    stats: RunStats,
-    decisions: Vec<Decision>,
+    core: Core<Offers, Box<dyn OnlineScheduler>, Decisions>,
     verdict: Option<SessionVerdict>,
-    max_events: usize,
-    frontier: Time,
-    peak_retained: usize,
     admitted_bytes: u64,
 }
 
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("scheduler", &self.sched.name())
-            .field("now", &self.world.now())
-            .field("pending", &self.world.num_pending())
-            .field("running", &self.world.num_running())
+            .field("scheduler", &self.core.sched.name())
+            .field("now", &self.core.world.now())
+            .field("pending", &self.core.world.num_pending())
+            .field("running", &self.core.world.num_running())
             .field("verdict", &self.verdict)
             .finish_non_exhaustive()
     }
@@ -325,18 +304,13 @@ impl Session {
     /// scheduler's declared information model.
     pub fn new(sched: Box<dyn OnlineScheduler>, clairvoyance: Clairvoyance) -> Self {
         Session {
-            world: World::new(clairvoyance),
-            sched,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            scratch: Vec::new(),
-            span: SpanAccountant::new(),
-            stats: RunStats::default(),
-            decisions: Vec::new(),
+            core: Core::new(
+                Offers(clairvoyance),
+                sched,
+                Decisions::default(),
+                DEFAULT_WATCHDOG_EVENTS,
+            ),
             verdict: None,
-            max_events: DEFAULT_WATCHDOG_EVENTS,
-            frontier: Time::ZERO,
-            peak_retained: 0,
             admitted_bytes: 0,
         }
     }
@@ -344,23 +318,23 @@ impl Session {
     /// Caps the cumulative events this session may process (the watchdog
     /// budget; default [`DEFAULT_WATCHDOG_EVENTS`]).
     pub fn with_watchdog(mut self, max_events: usize) -> Self {
-        self.max_events = max_events;
+        self.core.max_events = max_events;
         self
     }
 
     /// The scheduler's self-reported name.
     pub fn scheduler_name(&self) -> String {
-        self.sched.name()
+        self.core.sched.name()
     }
 
     /// Current simulation time (the time of the last processed event).
     pub fn now(&self) -> Time {
-        self.world.now()
+        self.core.world.now()
     }
 
-    /// Running span: retired mass plus the measure of still-open segments.
+    /// Running span: the measure of every busy interval started so far.
     pub fn span(&self) -> Dur {
-        self.span.total()
+        self.core.span.total()
     }
 
     /// Engine counters accumulated so far. One divergence from a batch run
@@ -369,33 +343,34 @@ impl Session {
     /// per offer. `jobs_released` and every decision-bearing counter
     /// match.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Jobs admitted but not yet started.
     pub fn num_pending(&self) -> usize {
-        self.world.num_pending()
+        self.core.world.num_pending()
     }
 
     /// Jobs currently running.
     pub fn num_running(&self) -> usize {
-        self.world.num_running()
+        self.core.world.num_running()
     }
 
     /// Job records currently materialized (history is compacted away).
     pub fn retained_records(&self) -> usize {
-        self.world.num_retained()
+        self.core.world.num_retained()
     }
 
     /// High-water mark of materialized records — the bounded-memory
     /// witness: stays O(pending), not O(jobs ever offered).
     pub fn peak_retained_records(&self) -> usize {
-        self.peak_retained
+        self.core.world.peak_retained()
     }
 
-    /// High-water mark of live (unretired) span segments.
+    /// High-water mark of live span segments: `0` before the first start,
+    /// `1` after it (the running span never holds more than one).
     pub fn peak_live_segments(&self) -> usize {
-        self.span.peak_live_segments()
+        self.core.span.live_segments()
     }
 
     /// Cumulative [`JobOffer::canonical_bytes`] of every offer that got
@@ -414,12 +389,12 @@ impl Session {
 
     /// Drains the decisions emitted since the last call, in order.
     pub fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
+        std::mem::take(&mut self.core.sink.0)
     }
 
     /// Offers the next job of the arrival stream.
     ///
-    /// Drains every queued event that precedes the arrival, releases the
+    /// Drives every queued event that precedes the arrival, releases the
     /// job, and dispatches `on_arrival` — all under panic containment and
     /// the event budget. On success returns the job's id (global release
     /// order). A validation failure rejects the offer without touching
@@ -429,10 +404,12 @@ impl Session {
         if let Some(v) = &self.verdict {
             return Err(SessionError::Terminal(v.clone()));
         }
-        if offer.arrival < self.frontier {
+        // The clock stops at each admitted arrival, so it is the frontier.
+        let frontier = self.core.world.now();
+        if offer.arrival < frontier {
             return Err(SessionError::ArrivalRegressed {
                 arrival: offer.arrival,
-                frontier: self.frontier,
+                frontier,
             });
         }
         if offer.deadline < offer.arrival {
@@ -446,13 +423,10 @@ impl Session {
                 length: offer.length,
             });
         }
-        self.frontier = offer.arrival;
         self.admitted_bytes += offer.canonical_bytes();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.drain_before(offer.arrival, RELEASE_ORDER)?;
-            self.release_offer(offer)
-        }));
-        self.settle(outcome)
+        let spec = JobSpec::fixed(offer.deadline, offer.length);
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.core.offer(offer.arrival, spec)));
+        self.settle(outcome).map_err(SessionError::Terminal)
     }
 
     /// Declares the arrival stream finished and drains the session to
@@ -463,258 +437,48 @@ impl Session {
         if let Some(v) = &self.verdict {
             return v.clone();
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.drain_all()));
-        let verdict = match outcome {
-            Ok(Ok(())) => SessionVerdict::Completed,
-            Ok(Err(v)) => v,
-            Err(payload) => SessionVerdict::Panicked {
-                message: panic_message(payload.as_ref()),
-            },
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.core.drive(None)));
+        let verdict = match self.settle(outcome) {
+            Ok(()) => SessionVerdict::Completed,
+            Err(verdict) => verdict,
         };
         self.verdict = Some(verdict.clone());
         verdict
     }
 
-    /// Maps a contained step outcome onto the offer result, recording the
-    /// terminal verdict if the step poisoned the session.
-    fn settle(
+    /// Maps a contained core step onto its value, or onto the verdict that
+    /// poisons the session (recording it).
+    fn settle<T>(
         &mut self,
-        outcome: Result<Result<JobId, SessionVerdict>, Box<dyn std::any::Any + Send>>,
-    ) -> Result<JobId, SessionError> {
+        outcome: Result<Result<T, Halt>, Box<dyn std::any::Any + Send>>,
+    ) -> Result<T, SessionVerdict> {
         let verdict = match outcome {
-            Ok(Ok(id)) => return Ok(id),
-            Ok(Err(v)) => v,
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(Halt::EventCap)) => SessionVerdict::TimedOut {
+                events: self.core.stats.events_total,
+            },
+            Ok(Err(Halt::Fault(fault))) => SessionVerdict::Faulted {
+                message: self.fault_message(fault),
+            },
             Err(payload) => SessionVerdict::Panicked {
                 message: panic_message(payload.as_ref()),
             },
         };
         self.verdict = Some(verdict.clone());
-        Err(SessionError::Terminal(verdict))
+        Err(verdict)
     }
 
-    // ---- drive loop (mirrors crate::sim::engine) ---------------------
-
-    fn push(&mut self, time: Time, kind: EventKind) {
-        let ev = Event {
-            time,
-            order: kind.order(),
-            seq: self.seq,
-            kind,
-        };
-        self.seq += 1;
-        self.queue.push(Reverse(ev));
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
-    }
-
-    /// Processes queued events strictly preceding `(time, order)` in the
-    /// engine's total order.
-    fn drain_before(&mut self, time: Time, order: u8) -> Step {
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            if (ev.time, ev.order) >= (time, order) {
-                break;
-            }
-            self.budget_check()?;
-            self.queue.pop();
-            self.dispatch_event(ev)?;
-        }
-        Ok(())
-    }
-
-    fn drain_all(&mut self) -> Step {
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            self.budget_check()?;
-            self.queue.pop();
-            self.dispatch_event(ev)?;
-        }
-        Ok(())
-    }
-
-    fn budget_check(&self) -> Step {
-        if self.stats.events_total >= self.max_events {
-            return Err(SessionVerdict::TimedOut {
-                events: self.stats.events_total,
-            });
-        }
-        Ok(())
-    }
-
-    fn release_offer(&mut self, offer: JobOffer) -> Result<JobId, SessionVerdict> {
-        self.budget_check()?;
-        self.advance(offer.arrival);
-        self.stats.release_events += 1;
-        self.stats.events_total += 1;
-        let id = self
-            .world
-            .release(offer.arrival, offer.deadline, Some(offer.length));
-        self.stats.jobs_released += 1;
-        self.peak_retained = self.peak_retained.max(self.world.num_retained());
-        self.push(offer.deadline, EventKind::DeadlineAlarm(id));
-        let clairvoyance = self.world.clairvoyance();
-        let arrival = Arrival {
-            id,
-            arrival: offer.arrival,
-            deadline: offer.deadline,
-            length: clairvoyance.is_clairvoyant().then_some(offer.length),
-            length_class: clairvoyance
-                .reveals_class()
-                .then(|| geometric_class(offer.length, 2.0, 1.0)),
-        };
-        self.dispatch(|sched, ctx| sched.on_arrival(arrival, ctx))?;
-        Ok(id)
-    }
-
-    fn advance(&mut self, to: Time) {
-        self.world.advance_to(to);
-        self.span.advance(to);
-    }
-
-    fn dispatch_event(&mut self, ev: Event) -> Step {
-        self.advance(ev.time);
-        self.stats.events_total += 1;
-        match ev.kind {
-            EventKind::Completion(id) => {
-                self.stats.completions += 1;
-                self.stats.jobs_completed += 1;
-                let length = match self.world.job(id).length() {
-                    Some(p) => p,
-                    None => {
-                        return Err(SessionVerdict::Faulted {
-                            message: format!("completing {id} with no ruled length"),
-                        })
-                    }
-                };
-                self.world.mark_completed(id);
-                self.decisions.push(Decision {
-                    kind: DecisionKind::Finish,
-                    id,
-                    at: ev.time,
-                    span: self.span.total(),
-                });
-                self.world.compact_completed_prefix();
-                self.dispatch(|sched, ctx| sched.on_completion(id, length, ctx))?;
-            }
-            EventKind::OrderedStart(id) => {
-                self.stats.ordered_starts += 1;
-                if self.world.is_pending(id) {
-                    self.start_job(id, ev.time)?;
-                }
-            }
-            EventKind::DeadlineAlarm(id) => {
-                self.stats.deadline_alarms += 1;
-                if !self.world.is_pending(id) {
-                    // Already started (or completed): the alarm is spent.
-                } else if self.world.job(id).ordered_start().is_some() {
-                    // A same-instant ordered start is honored, as in the
-                    // batch engine.
-                    self.start_job(id, ev.time)?;
-                } else {
-                    self.dispatch(|sched, ctx| sched.on_deadline(id, ctx))?;
-                    if self.world.is_pending(id) && self.world.job(id).ordered_start().is_none() {
-                        self.stats.force_starts += 1;
-                        self.start_job(id, ev.time)?;
-                    }
-                }
-            }
-            EventKind::Wakeup(token) => {
-                self.stats.wakeups += 1;
-                self.dispatch(|sched, ctx| sched.on_wakeup(token, ctx))?;
+    /// The session's wording of a core fault. A horizon overflow names the
+    /// start and length that overflowed: the core marks the job started
+    /// before it computes the completion, so both are on record.
+    fn fault_message(&self, fault: EnvFault) -> String {
+        let world = &self.core.world;
+        if let EnvFault::HorizonOverflow { id } = fault {
+            if let (Some(at), Some(length)) = (world.start_of(id), world.length_of(id)) {
+                return format!("horizon overflow: {id} started at {at} with length {length}");
             }
         }
-        Ok(())
-    }
-
-    /// Runs one scheduler callback and applies its actions — the batch
-    /// engine's dispatch pattern, with the same scratch-buffer reuse.
-    fn dispatch<F>(&mut self, callback: F) -> Step
-    where
-        F: FnOnce(&mut dyn OnlineScheduler, &mut Ctx<'_>),
-    {
-        let mut ctx = Ctx::with_scratch(&self.world, std::mem::take(&mut self.scratch));
-        callback(self.sched.as_mut(), &mut ctx);
-        let mut actions = ctx.into_actions();
-        let step = self.apply_actions(&mut actions);
-        actions.clear();
-        self.scratch = actions;
-        step
-    }
-
-    /// Validates and applies scheduler actions, mirroring the batch
-    /// engine's rules verbatim. Invalid actions are counted and dropped
-    /// (the session keeps going, exactly like a batch run).
-    fn apply_actions(&mut self, actions: &mut Vec<Action>) -> Step {
-        for action in actions.drain(..) {
-            let now = self.world.now();
-            match action {
-                Action::StartNow(id) => {
-                    if !self.world.is_pending(id) {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    let rec = self.world.job(id);
-                    if now < rec.arrival() || now > rec.deadline() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.start_job(id, now)?;
-                }
-                Action::StartAt(id, at) => {
-                    if !self.world.is_pending(id) {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    let rec = self.world.job(id);
-                    if rec.ordered_start().is_some() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    if at < now || at < rec.arrival() || at > rec.deadline() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.world.set_ordered_start(id, at);
-                    self.push(at, EventKind::OrderedStart(id));
-                }
-                Action::WakeAt(at, token) => {
-                    if at < now {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.push(at, EventKind::Wakeup(token));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn start_job(&mut self, id: JobId, at: Time) -> Step {
-        let length = match self.world.job(id).length() {
-            Some(p) => p,
-            None => {
-                return Err(SessionVerdict::Faulted {
-                    message: format!("starting {id} with no ruled length"),
-                })
-            }
-        };
-        // Same horizon guard as the batch engine: a completion time that
-        // leaves f64 range would corrupt the event order.
-        if !(at.get() + length.get()).is_finite() {
-            return Err(SessionVerdict::Faulted {
-                message: format!("horizon overflow: {id} started at {at} with length {length}"),
-            });
-        }
-        self.world.mark_started(id, at);
-        self.span.record(Interval::active(at, length));
-        self.decisions.push(Decision {
-            kind: DecisionKind::Start,
-            id,
-            at,
-            span: self.span.total(),
-        });
-        self.push(at + length, EventKind::Completion(id));
-        Ok(())
+        fault.to_string()
     }
 }
 
@@ -723,6 +487,7 @@ mod tests {
     use super::*;
     use crate::job::{Instance, Job};
     use crate::sim::run_static;
+    use crate::sim::sched::{Arrival, Ctx};
     use crate::supervise::with_quiet_panics;
     use crate::time::{dur, t};
 
@@ -819,6 +584,30 @@ mod tests {
         ]
     }
 
+    type MkSched = fn() -> Box<dyn OnlineScheduler>;
+
+    /// Two zero-laxity jobs where the second starts exactly when the first
+    /// completes. Their union is `[0.1, 1.1)`, measured as `1`; summing
+    /// the two pieces separately gives `1.0000000000000002`.
+    fn touching_pair() -> Vec<JobOffer> {
+        vec![offer(0.1, 0.1, 0.1), offer(0.2, 0.2, 0.9)]
+    }
+
+    /// A zero-laxity chain on non-dyadic values, each arrival exactly the
+    /// previous completion, whose piecewise sum (`1.3000000000000003`)
+    /// differs from the measure of its union (`1.3`).
+    fn touching_chain() -> Vec<JobOffer> {
+        let mut a = 0.1;
+        [0.2, 0.3, 0.7, 0.1]
+            .into_iter()
+            .map(|p| {
+                let o = offer(a, a, p);
+                a += p;
+                o
+            })
+            .collect()
+    }
+
     fn session_outcome(
         sched: Box<dyn OnlineScheduler>,
         offers: &[JobOffer],
@@ -833,26 +622,31 @@ mod tests {
 
     /// The determinism contract: a session fed job-by-job reproduces the
     /// batch engine's starts and span exactly, for action-free, ordered-
-    /// start, and force-start schedulers alike.
+    /// start, and force-start schedulers alike — down to the last bit on
+    /// chains of touching intervals.
     #[test]
     fn session_matches_batch_engine_decisions() {
-        let offers = deck();
+        let scheds: Vec<(&str, MkSched)> = vec![
+            ("eager", || Box::new(Eager)),
+            ("latest", || Box::new(Latest)),
+            ("sleeper", || Box::new(Sleeper)),
+        ];
+        for offers in [deck(), touching_pair(), touching_chain()] {
+            session_matches_batch_on(&offers, &scheds);
+        }
+    }
+
+    fn session_matches_batch_on(offers: &[JobOffer], scheds: &[(&str, MkSched)]) {
         let inst = Instance::new(
             offers
                 .iter()
                 .map(|o| Job::new(o.arrival, o.deadline, o.length))
                 .collect::<Vec<_>>(),
         );
-        type MkSched = fn() -> Box<dyn OnlineScheduler>;
-        let scheds: Vec<(&str, MkSched)> = vec![
-            ("eager", || Box::new(Eager)),
-            ("latest", || Box::new(Latest)),
-            ("sleeper", || Box::new(Sleeper)),
-        ];
-        for (label, mk) in scheds {
+        for &(label, mk) in scheds {
             let batch = run_static(&inst, Clairvoyance::Clairvoyant, mk());
             assert!(batch.termination.is_completed(), "{label}: batch completed");
-            let (decisions, span, verdict) = session_outcome(mk(), &offers);
+            let (decisions, span, verdict) = session_outcome(mk(), offers);
             assert_eq!(verdict, SessionVerdict::Completed, "{label}");
             assert_eq!(span, batch.span, "{label}: span");
             let starts: Vec<(JobId, Time)> = decisions
@@ -939,8 +733,45 @@ mod tests {
         assert_eq!(s.verdict().map(|v| v.label()), Some("timed-out"));
     }
 
-    /// The O(pending) memory contract: a long sequential stream retires
-    /// both its span segments and its job records as it goes.
+    /// A start whose completion leaves the finite `f64` range poisons the
+    /// session with a `faulted` verdict naming the start and the length,
+    /// and the offer that did it still counts as admitted payload.
+    #[test]
+    fn horizon_overflow_faults_the_session() {
+        let mut s = Session::new(Box::new(Eager), Clairvoyance::Clairvoyant);
+        let huge = offer(1e308, 1e308, 1e308);
+        let err = s.offer(huge).unwrap_err();
+        let want = format!(
+            "horizon overflow: J0 started at {} with length {}",
+            t(1e308),
+            dur(1e308)
+        );
+        assert_eq!(
+            err,
+            SessionError::Terminal(SessionVerdict::Faulted {
+                message: want.clone()
+            })
+        );
+        assert_eq!(s.verdict().map(|v| v.label()), Some("faulted"));
+        assert_eq!(s.close(), SessionVerdict::Faulted { message: want });
+        assert_eq!(s.admitted_payload_bytes(), huge.canonical_bytes());
+        assert!(s.admitted_payload_bytes() > 0);
+    }
+
+    #[test]
+    fn peak_live_segments_is_zero_until_the_first_start() {
+        let mut s = Session::new(Box::new(Latest), Clairvoyance::Clairvoyant);
+        assert_eq!(s.peak_live_segments(), 0);
+        s.offer(offer(0.0, 5.0, 1.0)).unwrap();
+        assert_eq!(s.peak_live_segments(), 0, "committed, not yet started");
+        s.offer(offer(6.0, 7.0, 1.0)).unwrap();
+        assert_eq!(s.peak_live_segments(), 1);
+        assert_eq!(s.close(), SessionVerdict::Completed);
+        assert_eq!(s.peak_live_segments(), 1);
+    }
+
+    /// The O(pending) memory contract: a long sequential stream keeps one
+    /// live span segment and retires its job records as it goes.
     #[test]
     fn resident_state_stays_bounded_on_long_streams() {
         let mut s = Session::new(Box::new(Eager), Clairvoyance::Clairvoyant);
@@ -956,11 +787,7 @@ mod tests {
             "records grew: {}",
             s.peak_retained_records()
         );
-        assert!(
-            s.peak_live_segments() <= 8,
-            "live segments grew: {}",
-            s.peak_live_segments()
-        );
+        assert_eq!(s.peak_live_segments(), 1, "live segments grew");
         // Span is still exact over the whole history.
         assert_eq!(s.span(), dur(n as f64));
     }

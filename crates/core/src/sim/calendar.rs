@@ -155,11 +155,13 @@ pub(crate) struct CalendarQueue<T> {
 }
 
 impl<T: CalendarEvent> CalendarQueue<T> {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        let n = capacity.next_power_of_two().clamp(MIN_BUCKETS, 1 << 20);
+    /// An empty queue that allocates its ring (of the minimum size) on the
+    /// first push, so a long-lived owner that may never queue anything —
+    /// a freshly opened session — pays no allocation up front.
+    pub(crate) fn new() -> Self {
         CalendarQueue {
-            buckets: (0..n).map(|_| Bucket::new()).collect(),
-            mask: n as u64 - 1,
+            buckets: Vec::new(),
+            mask: 0,
             origin: 0.0,
             inv_width: 1.0,
             cur: 0,
@@ -168,6 +170,12 @@ impl<T: CalendarEvent> CalendarQueue<T> {
             in_window: 0,
             len: 0,
         }
+    }
+
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let mut queue = CalendarQueue::new();
+        queue.reset(capacity);
+        queue
     }
 
     /// Restores the pristine `with_capacity` state while keeping the ring
@@ -231,6 +239,10 @@ impl<T: CalendarEvent> CalendarQueue<T> {
     }
 
     pub(crate) fn push(&mut self, item: T) {
+        if self.buckets.is_empty() {
+            // First push into a queue built by `new`: allocate the ring.
+            self.reset(MIN_BUCKETS);
+        }
         self.place(item);
         self.len += 1;
         if self.len > 2 * self.buckets.len() {
@@ -240,21 +252,23 @@ impl<T: CalendarEvent> CalendarQueue<T> {
 
     /// Moves every overflow item whose day has entered the window (or been
     /// passed by the scan) into its bucket, recomputing the overflow
-    /// minimum for what remains.
+    /// minimum for what remains. Works in place: the overflow is unordered
+    /// and buckets sort on insert, so the order of the moves is free.
     fn pull_overflow(&mut self) {
-        let mut kept = Vec::with_capacity(self.overflow.len());
         let mut kept_min = u64::MAX;
-        for item in std::mem::take(&mut self.overflow) {
+        let mut i = 0;
+        while i < self.overflow.len() {
+            let item = self.overflow[i];
             let day = self.day_of(item.time()).max(self.cur);
             if day - self.cur <= self.mask {
+                self.overflow.swap_remove(i);
                 self.buckets[(day & self.mask) as usize].insert(item);
                 self.in_window += 1;
             } else {
                 kept_min = kept_min.min(day);
-                kept.push(item);
+                i += 1;
             }
         }
-        self.overflow = kept;
         self.overflow_min_day = kept_min;
     }
 
@@ -326,10 +340,11 @@ impl<T: CalendarEvent> CalendarQueue<T> {
             b.take_live_into(&mut items);
         }
         items.append(&mut self.overflow);
-        if self.buckets.len() != n {
-            self.buckets = (0..n).map(|_| Bucket::new()).collect();
-            self.mask = n as u64 - 1;
-        }
+        // Every bucket is empty now, so resizing in place is as good as a
+        // fresh ring and keeps the surviving buckets' allocations.
+        self.buckets.truncate(n);
+        self.buckets.resize_with(n, Bucket::new);
+        self.mask = n as u64 - 1;
         self.in_window = 0;
         self.overflow_min_day = u64::MAX;
         if items.is_empty() {
@@ -402,7 +417,16 @@ mod tests {
     /// (large values cross grow boundaries, draining crosses shrink
     /// boundaries).
     fn differential_run(rng: &mut SmallRng, spread: f64, burst: usize, grid: Option<f64>) {
-        let mut cal = CalendarQueue::with_capacity(4);
+        differential_run_on(CalendarQueue::with_capacity(4), rng, spread, burst, grid);
+    }
+
+    fn differential_run_on(
+        mut cal: CalendarQueue<Ev>,
+        rng: &mut SmallRng,
+        spread: f64,
+        burst: usize,
+        grid: Option<f64>,
+    ) {
         let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0.0f64;
@@ -474,6 +498,18 @@ mod tests {
         forall_seeded(0xca1e_0004, 32, |rng| {
             differential_run(rng, 16.0, 200, Some(0.25));
         });
+    }
+
+    #[test]
+    fn prop_pop_order_matches_heap_from_a_lazy_ring() {
+        // A queue created without a ring allocates it on the first push and
+        // then behaves like any other.
+        forall_seeded(0xca1e_0005, 32, |rng| {
+            differential_run_on(CalendarQueue::new(), rng, 8.0, 12, None);
+        });
+        let mut empty: CalendarQueue<Ev> = CalendarQueue::new();
+        assert_eq!(empty.peek(), None);
+        assert_eq!(empty.pop(), None);
     }
 
     #[test]

@@ -22,6 +22,18 @@
 //!
 //! Within a kind, ties break by insertion sequence (FIFO), which makes runs
 //! fully deterministic.
+//!
+//! # One core for batch and serve
+//!
+//! The loop lives in a crate-private `Core` that can stop before any
+//! `(time, kind-order)` bound and resume. [`run_with_config`] feeds it an
+//! environment and drains it in one go; a resident
+//! [`Session`](crate::service::Session) drives it up to each offered
+//! arrival, releases the job, and drains it when the stream closes. A
+//! compile-time sink picks what each keeps: batch runs retain violations,
+//! rejected actions and the trace, sessions stream start/finish decisions
+//! and compact completed records. The two paths therefore make the same
+//! decisions and reach the same span, bit for bit, by construction.
 
 use crate::interval::RunningSpan;
 use crate::job::{Instance, JobId};
@@ -43,8 +55,7 @@ pub struct SimConfig {
     /// environments or scheduler wakeup loops).
     pub max_events: usize,
     /// What to record into the outcome's [`TraceEvent`] log: nothing (the
-    /// default), the full chronology, or a bounded ring of the most recent
-    /// events. See [`TraceMode`].
+    /// default) or the full chronology. See [`TraceMode`].
     pub trace: TraceMode,
     /// Measure wall-clock time spent inside scheduler callbacks and
     /// environment oracles ([`RunStats::wall_scheduler_s`] /
@@ -349,8 +360,7 @@ pub struct SimOutcome {
     /// applied/rejected actions, force-starts and wall-clock phases.
     pub stats: RunStats,
     /// Chronological event log (empty unless [`SimConfig::trace`] asked
-    /// for recording; bounded to the most recent events under
-    /// [`TraceMode::Ring`]).
+    /// for recording).
     pub trace: Vec<TraceEvent>,
 }
 
@@ -372,8 +382,8 @@ impl SimOutcome {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum EventKind {
     Completion(JobId),
-    // Releases are not queued; they are pulled from the environment and
-    // slot in at priority `RELEASE_ORDER`.
+    // Releases are not queued; they are pulled from the environment (or
+    // offered to a session) and slot in at priority `RELEASE_ORDER`.
     OrderedStart(JobId),
     LengthProbe(JobId),
     DeadlineAlarm(JobId),
@@ -421,29 +431,88 @@ impl CalendarEvent for Event {
     }
 }
 
-/// How the drive loop ended (the non-fault half of [`Termination`]).
-enum DriveEnd {
-    Drained,
+/// Why [`Core::drive`] stopped before draining (the non-completed half of
+/// [`Termination`]).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Halt {
+    /// The event budget ran out.
     EventCap,
+    /// The environment broke its contract.
+    Fault(EnvFault),
 }
 
-struct Engine<E, S> {
-    world: World,
+impl From<EnvFault> for Halt {
+    fn from(fault: EnvFault) -> Self {
+        Halt::Fault(fault)
+    }
+}
+
+/// What the core reports beyond its [`RunStats`] counters, fixed at
+/// compile time. A batch run keeps violations, rejected actions and the
+/// trace ([`Retain`]); a [`Session`](crate::service::Session) streams its
+/// start/finish decisions and compacts its world after each completion.
+/// Every hook defaults to a no-op, so a sink pays only for what it keeps.
+pub(crate) trait Sink {
+    /// A trace event at `at`.
+    fn record(&mut self, _at: Time, _kind: TraceKind) {}
+    /// A job force-started at its deadline.
+    fn violation(&mut self, _violation: Violation) {}
+    /// A scheduler action the core refused.
+    fn rejected(&mut self, _rejected: RejectedAction) {}
+    /// Job `id` started at `at`; `span` already covers its start.
+    fn started(&mut self, _id: JobId, _at: Time, _span: &RunningSpan) {}
+    /// Job `id` completed at `at`, before `on_completion` runs. The core
+    /// reads nothing of the job's record afterwards, so the sink may
+    /// compact it away.
+    fn completed(&mut self, _id: JobId, _at: Time, _span: &RunningSpan, _world: &mut World) {}
+}
+
+/// The batch sink: everything a [`SimOutcome`] reports.
+pub(crate) struct Retain {
+    trace_mode: TraceMode,
+    trace: Vec<TraceEvent>,
+    violations: Vec<Violation>,
+    rejected: Vec<RejectedAction>,
+}
+
+impl Sink for Retain {
+    #[inline]
+    fn record(&mut self, at: Time, kind: TraceKind) {
+        match self.trace_mode {
+            TraceMode::Off => {}
+            TraceMode::Full => self.trace.push(TraceEvent { time: at, kind }),
+        }
+    }
+
+    fn violation(&mut self, violation: Violation) {
+        self.violations.push(violation);
+    }
+
+    fn rejected(&mut self, rejected: RejectedAction) {
+        self.rejected.push(rejected);
+    }
+}
+
+/// The event core shared by batch runs and resident sessions: the world,
+/// the calendar queue, the running span and the counters, advanced in the
+/// engine's `(time, kind-order, seq)` order. [`run_with_config`] drains it
+/// in one [`Core::drive`]; a [`Session`](crate::service::Session) drives it
+/// up to each offered arrival with [`Core::offer`] and drains it at close.
+pub(crate) struct Core<E, S, K> {
+    pub(crate) world: World,
     env: E,
-    sched: S,
+    pub(crate) sched: S,
     queue: CalendarQueue<Event>,
     /// Busy-interval span maintained incrementally as starts and rulings
     /// happen, so completed runs never re-measure the `IntervalSet` union.
-    span: RunningSpan,
+    pub(crate) span: RunningSpan,
     seq: u64,
-    violations: Vec<Violation>,
-    rejected: Vec<RejectedAction>,
-    stats: RunStats,
-    config: SimConfig,
-    trace: Vec<TraceEvent>,
-    /// Next overwrite slot when the trace is a full [`TraceMode::Ring`];
-    /// the trace is un-rotated back to chronological order at run end.
-    trace_next: usize,
+    pub(crate) stats: RunStats,
+    /// Events the core may process in total (see [`Halt::EventCap`]).
+    pub(crate) max_events: usize,
+    /// [`SimConfig::time_phases`].
+    time_phases: bool,
+    pub(crate) sink: K,
     /// Reused action buffer handed to each [`Ctx`] (one allocation per run,
     /// not per callback).
     scratch: Vec<Action>,
@@ -452,28 +521,53 @@ struct Engine<E, S> {
     spec_scratch: Vec<JobSpec>,
 }
 
-impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
+impl<E: Environment, S: OnlineScheduler, K: Sink> Core<E, S, K> {
+    /// A core at time zero with fresh allocations and a calendar ring
+    /// allocated on first use (it grows itself), for a long-lived owner
+    /// such as a session.
+    pub(crate) fn new(env: E, sched: S, sink: K, max_events: usize) -> Self {
+        let parts = EngineScratch {
+            world: World::new(env.clairvoyance()),
+            queue: CalendarQueue::new(),
+            scratch: Vec::new(),
+            spec_scratch: Vec::new(),
+        };
+        Core::with_parts(env, sched, sink, max_events, false, parts)
+    }
+
+    fn with_parts(
+        env: E,
+        sched: S,
+        sink: K,
+        max_events: usize,
+        time_phases: bool,
+        parts: EngineScratch,
+    ) -> Self {
+        let EngineScratch {
+            world,
+            queue,
+            scratch,
+            spec_scratch,
+        } = parts;
+        Core {
+            world,
+            env,
+            sched,
+            queue,
+            span: RunningSpan::new(),
+            seq: 0,
+            stats: RunStats::default(),
+            max_events,
+            time_phases,
+            sink,
+            scratch,
+            spec_scratch,
+        }
+    }
+
     #[inline]
     fn record(&mut self, kind: TraceKind) {
-        match self.config.trace {
-            TraceMode::Off | TraceMode::Ring(0) => {}
-            TraceMode::Full => self.trace.push(TraceEvent {
-                time: self.world.now(),
-                kind,
-            }),
-            TraceMode::Ring(n) => {
-                let ev = TraceEvent {
-                    time: self.world.now(),
-                    kind,
-                };
-                if self.trace.len() < n {
-                    self.trace.push(ev);
-                } else {
-                    self.trace[self.trace_next] = ev;
-                    self.trace_next = (self.trace_next + 1) % n;
-                }
-            }
-        }
+        self.sink.record(self.world.now(), kind);
     }
 
     #[inline]
@@ -490,16 +584,26 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
 
     fn reject(&mut self, fault: ActionFault) {
         self.stats.actions_rejected += 1;
-        self.rejected.push(RejectedAction {
+        self.sink.rejected(RejectedAction {
             at: self.world.now(),
             fault,
         });
     }
 
+    /// Charges one event against the budget.
+    #[inline]
+    fn tick(&mut self) -> Result<(), Halt> {
+        if self.stats.events_total >= self.max_events {
+            return Err(Halt::EventCap);
+        }
+        self.stats.events_total += 1;
+        Ok(())
+    }
+
     /// Starts a phase-timing measurement when [`SimConfig::time_phases`]
-    /// is set; [`Engine::phase_done`] accumulates it.
+    /// is set; [`Core::phase_done`] accumulates it.
     fn phase_start(&self) -> Option<Instant> {
-        self.config.time_phases.then(Instant::now)
+        self.time_phases.then(Instant::now)
     }
 
     fn phase_done(t0: Option<Instant>, acc: &mut f64) {
@@ -522,7 +626,7 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
     ///
     /// Callers must have validated that the job is pending and `at` lies in
     /// its start window; this method only reports *environment* misbehavior
-    /// (bad adaptive-length rulings).
+    /// (bad adaptive-length rulings) and horizon overflow.
     fn start_job(&mut self, id: JobId, at: Time) -> Result<(), EnvFault> {
         debug_assert!(self.world.is_pending(id), "starting non-pending job {id}");
         debug_assert!({
@@ -563,6 +667,7 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
                 }
             }
         }
+        self.sink.started(id, at, &self.span);
         Ok(())
     }
 
@@ -590,9 +695,10 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
     }
 
     /// Applies (by draining) the actions a scheduler requested during one
-    /// callback. Invalid actions are rejected (recorded and dropped) rather
-    /// than aborting the run: a dropped start leaves the job pending, where
-    /// the deadline-alarm force-start guarantees it is eventually scheduled.
+    /// callback. Invalid actions are rejected (counted, reported to the
+    /// sink and dropped) rather than aborting the run: a dropped start
+    /// leaves the job pending, where the deadline-alarm force-start
+    /// guarantees it is eventually scheduled.
     fn apply_actions(&mut self, actions: &mut Vec<Action>) -> Result<(), EnvFault> {
         for action in actions.drain(..) {
             match action {
@@ -642,13 +748,12 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
         Ok(())
     }
 
-    fn dispatch_arrival(&mut self, arrival: Arrival) -> Result<(), EnvFault> {
-        self.dispatch_callback(|sched, ctx| sched.on_arrival(arrival, ctx))
-    }
-
-    /// The event loop. Returns how it stopped; environment contract
-    /// breaches bubble up as errors, scheduler misbehavior is absorbed.
-    fn drive(&mut self) -> Result<DriveEnd, EnvFault> {
+    /// Processes events in the engine's total order — queued events and
+    /// the environment's releases, re-querying the environment after every
+    /// event — until nothing is left that precedes `stop` (nothing at all
+    /// when `stop` is `None`). Environment contract breaches and the event
+    /// budget halt it; scheduler misbehavior is absorbed.
+    pub(crate) fn drive(&mut self, stop: Option<(Time, u8)>) -> Result<(), Halt> {
         loop {
             let queued = self.queue.peek().map(|e| (e.time, e.order));
             let t0 = self.phase_start();
@@ -656,191 +761,217 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
             Self::phase_done(t0, &mut self.stats.wall_environment_s);
             let release = match next_release {
                 Some(rt) if rt < self.world.now() => {
-                    return Err(EnvFault::ReleaseInPast {
+                    return Err(Halt::Fault(EnvFault::ReleaseInPast {
                         scheduled: rt,
                         now: self.world.now(),
-                    })
+                    }))
                 }
                 Some(rt) => Some((rt, RELEASE_ORDER)),
                 None => None,
             };
-            let release_due = match (queued, release) {
-                (None, None) => return Ok(DriveEnd::Drained),
-                (None, Some((rt, _))) => Some(rt),
-                (Some(_), None) => None,
-                (Some(q), Some(r)) => (r < q).then_some(r.0),
+            let (next, is_release) = match (queued, release) {
+                (None, None) => return Ok(()),
+                (None, Some(r)) => (r, true),
+                (Some(q), None) => (q, false),
+                (Some(q), Some(r)) => {
+                    if r < q {
+                        (r, true)
+                    } else {
+                        (q, false)
+                    }
+                }
             };
-
-            if self.stats.events_total >= self.config.max_events {
-                return Ok(DriveEnd::EventCap);
+            if stop.is_some_and(|s| next >= s) {
+                return Ok(());
             }
-            self.stats.events_total += 1;
-
-            if let Some(now) = release_due {
-                self.stats.release_events += 1;
-                self.world.advance_to(now);
-                let mut specs = std::mem::take(&mut self.spec_scratch);
-                let t0 = self.phase_start();
-                self.env.release_into(now, &self.world, &mut specs);
-                Self::phase_done(t0, &mut self.stats.wall_environment_s);
-                let clairvoyance = self.world.clairvoyance();
-                for JobSpec { deadline, length } in specs.drain(..) {
-                    if deadline < now {
-                        return Err(EnvFault::DeadlineBeforeArrival {
-                            arrival: now,
-                            deadline,
-                        });
-                    }
-                    let fixed = match length {
-                        LengthSpec::Fixed(p) => {
-                            if !p.is_positive() {
-                                return Err(EnvFault::NonPositiveLength { length: p });
-                            }
-                            Some(p)
-                        }
-                        LengthSpec::Adaptive => {
-                            if clairvoyance.reveals_class() {
-                                return Err(EnvFault::AdaptiveUnderClairvoyance);
-                            }
-                            None
-                        }
-                    };
-                    let id = self.world.release(now, deadline, fixed);
-                    self.stats.jobs_released += 1;
-                    self.record(TraceKind::Released { id, deadline });
-                    self.push(deadline, EventKind::DeadlineAlarm(id));
-                    self.dispatch_arrival(Arrival {
-                        id,
-                        arrival: now,
-                        deadline,
-                        length: if clairvoyance.is_clairvoyant() {
-                            fixed
-                        } else {
-                            None
-                        },
-                        length_class: if clairvoyance.reveals_class() {
-                            fixed.map(|p| crate::sim::env::geometric_class(p, 2.0, 1.0))
-                        } else {
-                            None
-                        },
-                    })?;
-                }
-                // (On the error paths above the buffer is simply dropped.)
-                self.spec_scratch = specs;
-                continue;
-            }
-
-            let Some(event) = self.queue.pop() else {
-                // Unreachable: release_due == None implies the queue was
-                // non-empty above; treat defensively as drained.
-                return Ok(DriveEnd::Drained);
-            };
-            self.world.advance_to(event.time);
-            match event.kind {
-                EventKind::Completion(id) => {
-                    self.stats.completions += 1;
-                    self.stats.jobs_completed += 1;
-                    self.world.mark_completed(id);
-                    self.record(TraceKind::Completed { id });
-                    let Some(length) = self.world.length_of(id) else {
-                        // Unreachable: completions are only scheduled once a
-                        // length is known (mark_completed checks too).
-                        continue;
-                    };
-                    self.dispatch_callback(|sched, ctx| sched.on_completion(id, length, ctx))?;
-                }
-                EventKind::OrderedStart(id) => {
-                    self.stats.ordered_starts += 1;
-                    if self.world.is_pending(id) {
-                        self.start_job(id, event.time)?;
-                    }
-                }
-                EventKind::LengthProbe(id) => {
-                    self.stats.length_probes += 1;
-                    let Some(started_at) = self.world.start_of(id) else {
-                        // Unreachable: probes are only scheduled after a
-                        // start; skip rather than abort.
-                        continue;
-                    };
-                    let t0 = self.phase_start();
-                    let ruling = self
-                        .env
-                        .rule_length(id, started_at, event.time, &self.world);
-                    Self::phase_done(t0, &mut self.stats.wall_environment_s);
-                    match ruling {
-                        LengthRuling::Assign(p) => {
-                            if !p.is_positive() {
-                                return Err(EnvFault::RuledNonPositiveLength { id, length: p });
-                            }
-                            let completion = self.completion_time(id, started_at, p)?;
-                            if completion < event.time {
-                                return Err(EnvFault::RulingInPast {
-                                    id,
-                                    completion,
-                                    now: event.time,
-                                });
-                            }
-                            self.world.set_length(id, p);
-                            self.record(TraceKind::LengthRuled { id, length: p });
-                            self.span.on_rule(completion);
-                            self.push(completion, EventKind::Completion(id));
-                        }
-                        LengthRuling::AskAgainAt(at) => {
-                            if at <= event.time {
-                                return Err(EnvFault::ProbeNotDeferred { id, at });
-                            }
-                            self.push(at, EventKind::LengthProbe(id));
-                        }
-                    }
-                }
-                EventKind::DeadlineAlarm(id) => {
-                    self.stats.deadline_alarms += 1;
-                    if !self.world.is_pending(id) {
-                        continue; // already started
-                    }
-                    if self.world.ordered_start_of(id).is_some() {
-                        // An ordered start exists; it can only be for this
-                        // very instant (start_at validates t <= d), and the
-                        // OrderedStart event sorts before remaining alarms,
-                        // so reaching here means it was issued during this
-                        // instant. Honor it now.
-                        self.start_job(id, event.time)?;
-                        continue;
-                    }
-                    self.dispatch_callback(|sched, ctx| sched.on_deadline(id, ctx))?;
-                    if self.world.is_pending(id) && self.world.ordered_start_of(id).is_none() {
-                        self.stats.force_starts += 1;
-                        self.violations.push(Violation { id, at: event.time });
-                        self.record(TraceKind::ForcedStart { id });
-                        self.start_job(id, event.time)?;
-                    }
-                }
-                EventKind::Wakeup(token) => {
-                    self.stats.wakeups += 1;
-                    self.record(TraceKind::Wakeup { token });
-                    self.dispatch_callback(|sched, ctx| sched.on_wakeup(token, ctx))?;
-                }
+            self.tick()?;
+            if is_release {
+                self.release_from_env(next.0)?;
+            } else if let Some(event) = self.queue.pop() {
+                self.dispatch_event(event)?;
             }
         }
     }
 
-    fn run(mut self) -> (SimOutcome, EngineScratch) {
-        let run_start = Instant::now();
-        let drive_end = self.drive();
-        self.stats.wall_total_s = run_start.elapsed().as_secs_f64();
-        // A full ring holds the newest events wrapped around `trace_next`;
-        // rotate back so the outcome's trace is chronological.
-        if let TraceMode::Ring(n) = self.config.trace {
-            if n > 0 && self.trace.len() == n {
-                self.trace.rotate_left(self.trace_next);
+    /// Drives every event before `(now, RELEASE_ORDER)`, then admits `spec`
+    /// as a release event of its own at `now` — the streaming counterpart
+    /// of an environment release. Callers offer non-decreasing `now`s.
+    pub(crate) fn offer(&mut self, now: Time, spec: JobSpec) -> Result<JobId, Halt> {
+        self.drive(Some((now, RELEASE_ORDER)))?;
+        self.tick()?;
+        self.stats.release_events += 1;
+        self.world.advance_to(now);
+        Ok(self.admit(now, spec)?)
+    }
+
+    /// One environment release event at `now`: every job the environment
+    /// releases at this instant, in order.
+    fn release_from_env(&mut self, now: Time) -> Result<(), EnvFault> {
+        self.stats.release_events += 1;
+        self.world.advance_to(now);
+        let mut specs = std::mem::take(&mut self.spec_scratch);
+        let t0 = self.phase_start();
+        self.env.release_into(now, &self.world, &mut specs);
+        Self::phase_done(t0, &mut self.stats.wall_environment_s);
+        for spec in specs.drain(..) {
+            self.admit(now, spec)?;
+        }
+        // (On the error path above the buffer is simply dropped.)
+        self.spec_scratch = specs;
+        Ok(())
+    }
+
+    /// Releases one job at `now` (the clock is already there): validates
+    /// its spec, queues its deadline alarm and dispatches `on_arrival`.
+    fn admit(&mut self, now: Time, spec: JobSpec) -> Result<JobId, EnvFault> {
+        let JobSpec { deadline, length } = spec;
+        if deadline < now {
+            return Err(EnvFault::DeadlineBeforeArrival {
+                arrival: now,
+                deadline,
+            });
+        }
+        let clairvoyance = self.world.clairvoyance();
+        let fixed = match length {
+            LengthSpec::Fixed(p) => {
+                if !p.is_positive() {
+                    return Err(EnvFault::NonPositiveLength { length: p });
+                }
+                Some(p)
+            }
+            LengthSpec::Adaptive => {
+                if clairvoyance.reveals_class() {
+                    return Err(EnvFault::AdaptiveUnderClairvoyance);
+                }
+                None
+            }
+        };
+        let id = self.world.release(now, deadline, fixed);
+        self.stats.jobs_released += 1;
+        self.record(TraceKind::Released { id, deadline });
+        self.push(deadline, EventKind::DeadlineAlarm(id));
+        let arrival = Arrival {
+            id,
+            arrival: now,
+            deadline,
+            length: if clairvoyance.is_clairvoyant() {
+                fixed
+            } else {
+                None
+            },
+            length_class: if clairvoyance.reveals_class() {
+                fixed.map(|p| crate::sim::env::geometric_class(p, 2.0, 1.0))
+            } else {
+                None
+            },
+        };
+        self.dispatch_callback(|sched, ctx| sched.on_arrival(arrival, ctx))?;
+        Ok(id)
+    }
+
+    /// Processes one popped queue event (the clock moves to its time).
+    fn dispatch_event(&mut self, event: Event) -> Result<(), EnvFault> {
+        self.world.advance_to(event.time);
+        match event.kind {
+            EventKind::Completion(id) => {
+                self.stats.completions += 1;
+                self.stats.jobs_completed += 1;
+                self.world.mark_completed(id);
+                self.record(TraceKind::Completed { id });
+                let Some(length) = self.world.length_of(id) else {
+                    // Unreachable: completions are only scheduled once a
+                    // length is known (mark_completed checks too).
+                    return Ok(());
+                };
+                self.sink
+                    .completed(id, event.time, &self.span, &mut self.world);
+                self.dispatch_callback(|sched, ctx| sched.on_completion(id, length, ctx))?;
+            }
+            EventKind::OrderedStart(id) => {
+                self.stats.ordered_starts += 1;
+                if self.world.is_pending(id) {
+                    self.start_job(id, event.time)?;
+                }
+            }
+            EventKind::LengthProbe(id) => {
+                self.stats.length_probes += 1;
+                let Some(started_at) = self.world.start_of(id) else {
+                    // Unreachable: probes are only scheduled after a
+                    // start; skip rather than abort.
+                    return Ok(());
+                };
+                let t0 = self.phase_start();
+                let ruling = self
+                    .env
+                    .rule_length(id, started_at, event.time, &self.world);
+                Self::phase_done(t0, &mut self.stats.wall_environment_s);
+                match ruling {
+                    LengthRuling::Assign(p) => {
+                        if !p.is_positive() {
+                            return Err(EnvFault::RuledNonPositiveLength { id, length: p });
+                        }
+                        let completion = self.completion_time(id, started_at, p)?;
+                        if completion < event.time {
+                            return Err(EnvFault::RulingInPast {
+                                id,
+                                completion,
+                                now: event.time,
+                            });
+                        }
+                        self.world.set_length(id, p);
+                        self.record(TraceKind::LengthRuled { id, length: p });
+                        self.span.on_rule(completion);
+                        self.push(completion, EventKind::Completion(id));
+                    }
+                    LengthRuling::AskAgainAt(at) => {
+                        if at <= event.time {
+                            return Err(EnvFault::ProbeNotDeferred { id, at });
+                        }
+                        self.push(at, EventKind::LengthProbe(id));
+                    }
+                }
+            }
+            EventKind::DeadlineAlarm(id) => {
+                self.stats.deadline_alarms += 1;
+                if !self.world.is_pending(id) {
+                    return Ok(()); // already started
+                }
+                if self.world.ordered_start_of(id).is_some() {
+                    // An ordered start exists; it can only be for this
+                    // very instant (start_at validates t <= d), and the
+                    // OrderedStart event sorts before remaining alarms,
+                    // so reaching here means it was issued during this
+                    // instant. Honor it now.
+                    return self.start_job(id, event.time);
+                }
+                self.dispatch_callback(|sched, ctx| sched.on_deadline(id, ctx))?;
+                if self.world.is_pending(id) && self.world.ordered_start_of(id).is_none() {
+                    self.stats.force_starts += 1;
+                    self.sink.violation(Violation { id, at: event.time });
+                    self.record(TraceKind::ForcedStart { id });
+                    self.start_job(id, event.time)?;
+                }
+            }
+            EventKind::Wakeup(token) => {
+                self.stats.wakeups += 1;
+                self.record(TraceKind::Wakeup { token });
+                self.dispatch_callback(|sched, ctx| sched.on_wakeup(token, ctx))?;
             }
         }
-        let termination = match drive_end {
-            Ok(DriveEnd::Drained) => Termination::Completed,
-            Ok(DriveEnd::EventCap) => Termination::EventCapExhausted {
+        Ok(())
+    }
+}
+
+impl<E, S> Core<E, S, Retain> {
+    /// Packages a drained (`halt == None`) or halted batch run as its
+    /// [`SimOutcome`] and hands back the recyclable allocations.
+    fn finish(mut self, halt: Option<Halt>) -> (SimOutcome, EngineScratch) {
+        let termination = match halt {
+            None => Termination::Completed,
+            Some(Halt::EventCap) => Termination::EventCapExhausted {
                 events: self.stats.events_total,
             },
-            Err(fault) => Termination::EnvironmentFault(fault),
+            Some(Halt::Fault(fault)) => Termination::EnvironmentFault(fault),
         };
 
         if termination.is_completed() {
@@ -876,13 +1007,13 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
             instance,
             schedule,
             span,
-            violations: self.violations,
+            violations: self.sink.violations,
             termination,
-            rejected_actions: self.rejected,
+            rejected_actions: self.sink.rejected,
             unresolved,
             events_processed: self.stats.events_total,
             stats: self.stats,
-            trace: self.trace,
+            trace: self.sink.trace,
         };
         let scratch = EngineScratch {
             world: self.world,
@@ -923,7 +1054,8 @@ pub fn run<E: Environment, S: OnlineScheduler>(env: E, sched: S) -> SimOutcome {
     run_with_config(env, sched, SimConfig::default())
 }
 
-/// Runs with explicit [`SimConfig`].
+/// Runs with explicit [`SimConfig`]: feeds the environment through the
+/// event core until it drains (or halts).
 pub fn run_with_config<E: Environment, S: OnlineScheduler>(
     env: E,
     sched: S,
@@ -960,29 +1092,24 @@ pub fn run_with_config<E: Environment, S: OnlineScheduler>(
     if let Some(n) = expected {
         parts.world.reserve_jobs(n);
     }
-    let EngineScratch {
-        world,
-        queue,
-        scratch,
-        spec_scratch,
-    } = *parts;
-    let (outcome, used) = Engine {
-        world,
-        env,
-        sched,
-        queue,
-        span: RunningSpan::new(),
-        seq: 0,
+    let sink = Retain {
+        trace_mode: config.trace,
+        trace: Vec::new(),
         violations: Vec::new(),
         rejected: Vec::new(),
-        stats: RunStats::default(),
-        config,
-        trace: Vec::new(),
-        trace_next: 0,
-        scratch,
-        spec_scratch,
-    }
-    .run();
+    };
+    let mut core = Core::with_parts(
+        env,
+        sched,
+        sink,
+        config.max_events,
+        config.time_phases,
+        *parts,
+    );
+    let run_start = Instant::now();
+    let halt = core.drive(None).err();
+    core.stats.wall_total_s = run_start.elapsed().as_secs_f64();
+    let (outcome, used) = core.finish(halt);
     if used.world.capacity() <= POOL_MAX_RECORDS {
         SCRATCH_POOL.with(|p| p.set(Some(Box::new(used))));
     }
@@ -1396,53 +1523,6 @@ mod tests {
     #[test]
     fn trace_empty_when_disabled() {
         let out = run_static(&inst(), Clairvoyance::Clairvoyant, EagerTest);
-        assert!(out.trace.is_empty());
-    }
-
-    #[test]
-    fn ring_trace_keeps_newest_events_in_order() {
-        let full = {
-            let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-            run_with_config(
-                env,
-                EagerTest,
-                SimConfig {
-                    trace: TraceMode::Full,
-                    ..Default::default()
-                },
-            )
-        };
-        assert!(full.trace.len() > 4, "need enough events to wrap the ring");
-        for n in [1, 4, full.trace.len(), full.trace.len() + 10] {
-            let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-            let ringed = run_with_config(
-                env,
-                EagerTest,
-                SimConfig {
-                    trace: TraceMode::Ring(n),
-                    ..Default::default()
-                },
-            );
-            let keep = full.trace.len().min(n);
-            assert_eq!(
-                ringed.trace,
-                full.trace[full.trace.len() - keep..],
-                "Ring({n}) must equal the chronological tail of the full trace"
-            );
-        }
-    }
-
-    #[test]
-    fn ring_zero_records_nothing() {
-        let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-        let out = run_with_config(
-            env,
-            EagerTest,
-            SimConfig {
-                trace: TraceMode::Ring(0),
-                ..Default::default()
-            },
-        );
         assert!(out.trace.is_empty());
     }
 
