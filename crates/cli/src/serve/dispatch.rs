@@ -64,7 +64,7 @@ use fjs_core::service::{
     stable_shard, tenant_of, Decision, JobOffer, OpenDecision, PoolReply, PoolRequest, ServeEvent,
     ServeJournal, SessionPool, TenantBreakers,
 };
-use fjs_core::time::{dur, t, Dur};
+use fjs_core::time::{dur, push_decimal, t, Dur};
 use fjs_workloads::{DeadLetter, Quarantine};
 
 use super::protocol::{parse_request, Request};
@@ -210,6 +210,8 @@ pub struct Backend {
     /// Set by a failed log write or journal append: nothing is written
     /// after it.
     fatal: bool,
+    /// Reused buffer for one block's decision-log lines.
+    log_buf: Vec<u8>,
 }
 
 impl Backend {
@@ -238,6 +240,7 @@ impl Backend {
             conns: HashMap::default(),
             ready: Vec::new(),
             fatal: false,
+            log_buf: Vec::new(),
         }
     }
 
@@ -354,12 +357,7 @@ impl Backend {
         let Some(sid) = b.sid else {
             return Ok(());
         };
-        for d in &b.decisions {
-            self.log_line(format_args!("{sid} {d}"))?;
-        }
-        if let Some((span, verdict, _)) = b.closed {
-            self.log_line(format_args!("{sid} close span={span} verdict={verdict}"))?;
-        }
+        self.write_log(&sid, &b.decisions, b.closed)?;
         let Some(record) = b.record else {
             return Ok(());
         };
@@ -412,11 +410,35 @@ impl Backend {
         journal.append(&ev).map_err(|e| format!("journal: {e}"))
     }
 
-    fn log_line(&mut self, line: std::fmt::Arguments<'_>) -> Result<(), String> {
+    /// Writes a block's decision lines, and its close line if it closed
+    /// the session, to the log in one write from the reused buffer.
+    fn write_log(
+        &mut self,
+        sid: &str,
+        decisions: &[Decision],
+        closed: Option<(Dur, &'static str, bool)>,
+    ) -> Result<(), String> {
+        let lines = decisions.len() as u64 + u64::from(closed.is_some());
+        if lines == 0 {
+            return Ok(());
+        }
+        let buf = &mut self.log_buf;
+        buf.clear();
+        for d in decisions {
+            d.render_line(sid, buf);
+        }
+        if let Some((span, verdict, _)) = closed {
+            buf.extend_from_slice(sid.as_bytes());
+            buf.extend_from_slice(b" close span=");
+            push_decimal(buf, span.get());
+            buf.extend_from_slice(b" verdict=");
+            buf.extend_from_slice(verdict.as_bytes());
+            buf.push(b'\n');
+        }
         self.log
-            .write_line(line)
+            .write_bytes(buf)
             .map_err(|e| format!("decision log: {e}"))?;
-        self.summary.decision_lines += 1;
+        self.summary.decision_lines += lines;
         Ok(())
     }
 

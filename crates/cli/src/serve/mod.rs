@@ -139,12 +139,15 @@ pub enum Sink {
 }
 
 impl Sink {
-    fn write_line(&mut self, line: std::fmt::Arguments<'_>) -> io::Result<()> {
+    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
         match self {
             Sink::Null => Ok(()),
-            Sink::Mem(buf) => writeln!(buf, "{line}"),
-            Sink::File(w) => writeln!(w, "{line}"),
-            Sink::Stdout(w) => writeln!(w, "{line}"),
+            Sink::Mem(buf) => {
+                buf.extend_from_slice(bytes);
+                Ok(())
+            }
+            Sink::File(w) => w.write_all(bytes),
+            Sink::Stdout(w) => w.write_all(bytes),
         }
     }
 
@@ -314,13 +317,18 @@ impl ServeSummary {
     }
 }
 
-/// Reply line formats, one function per reply kind. (Decision-log lines
-/// are `{sid} {decision}` and `{sid} close span={span} verdict={label}`,
-/// written in place by the backend.)
+/// Reply line formats, one function per reply kind. Decision-log lines
+/// are not replies: the backend renders them into its log buffer
+/// ([`Decision::render_line`] and `{sid} close span={span}
+/// verdict={label}`). Every float in a reply or log line reads as
+/// `Display` prints it; the hot ones (`ok job`, decision lines) go through
+/// [`push_decimal`](fjs_core::time::push_decimal).
+///
+/// [`Decision::render_line`]: fjs_core::service::Decision::render_line
 pub(crate) mod wire {
     use fjs_core::job::JobId;
     use fjs_core::service::{SessionError, SessionVerdict, TenantShedCause};
-    use fjs_core::time::Dur;
+    use fjs_core::time::{push_decimal, push_u64, Dur};
 
     pub fn open_ok(sid: &str, name: &str) -> String {
         format!("ok open {sid} scheduler={name}")
@@ -343,7 +351,16 @@ pub(crate) mod wire {
         )
     }
     pub fn job_ok(sid: &str, id: JobId, span: Dur) -> String {
-        format!("ok job {sid} id={id} span={span}")
+        // The hot reply: rendered directly, floats through `push_decimal`.
+        let mut out = Vec::with_capacity(sid.len() + 40);
+        out.extend_from_slice(b"ok job ");
+        out.extend_from_slice(sid.as_bytes());
+        out.extend_from_slice(b" id=J");
+        push_u64(&mut out, u64::from(id.0));
+        out.extend_from_slice(b" span=");
+        push_decimal(&mut out, span.get());
+        // A `str` plus ASCII is always UTF-8.
+        String::from_utf8(out).unwrap_or_default()
     }
     pub fn job_busy(sid: &str, resident: usize, max_pending: usize) -> String {
         format!("busy job {sid} pending={resident} max-pending={max_pending}")

@@ -12,12 +12,12 @@
 //!
 //! Blank lines and `#` comments are ignored (no reply). Every other line
 //! gets exactly one reply line: `ok ...`, `busy ...` (admission shed) or
-//! `err ...` (malformed or rejected). The job payload is the same
-//! 3-column CSV the batch trace reader ingests, and is parsed through the
-//! same hardened [`TraceReader`] so serve inherits its numeric and window
-//! validation verbatim.
+//! `err ...` (malformed or rejected). The job payload is one record of the
+//! batch trace format, and [`parse_job_payload`] applies the batch trace
+//! reader's record checks, in its order and with its error texts, without
+//! building a reader per line.
 
-use fjs_workloads::TraceReader;
+use fjs_core::job::Job;
 
 /// A parsed protocol request.
 #[derive(Clone, PartialEq, Debug)]
@@ -142,32 +142,42 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
     }
 }
 
-/// Parses a job payload through the hardened batch-trace reader, so the
-/// daemon enforces exactly the file-ingestion validation (finite numbers,
-/// `arrival <= deadline`, positive length).
-fn parse_job_payload(payload: &str) -> Result<(f64, f64, f64), String> {
-    let mut reader = TraceReader::new(payload.as_bytes());
-    match reader.next() {
-        Some(Ok(rec)) => {
-            let job = rec.job;
-            Ok((
-                job.arrival().get(),
-                job.deadline().get(),
-                job.length().get(),
-            ))
+/// Parses a job payload: `<arrival>,<deadline>,<length>` plus an optional
+/// `<size>` column, exactly one record of the batch trace format.
+///
+/// The checks, in order, each failing with the batch trace reader's text:
+/// 3 or 4 comma-separated columns (`expected 3 or 4 columns, found N`),
+/// each trimmed and a finite `f64` (`'<field>' is not a finite number`),
+/// a valid [`Job::try_adp`] window, and a size in `(0, 1]`
+/// (`size <s> outside (0, 1]`). The size is checked and dropped. A
+/// payload is one line: fields are not trimmed of `\n`, so a payload
+/// containing one never parses.
+pub fn parse_job_payload(payload: &str) -> Result<(f64, f64, f64), String> {
+    let mut fields = [""; 4];
+    let mut cols = 0;
+    for field in payload.split(',') {
+        if let Some(slot) = fields.get_mut(cols) {
+            *slot = field.trim_matches(|c: char| c.is_whitespace() && c != '\n');
         }
-        Some(Err(e)) => {
-            // The payload is a synthetic one-line stream; strip the
-            // reader's "line 1: " prefix — the server re-attributes the
-            // error to the protocol stream position.
-            let text = e.to_string();
-            Err(text
-                .strip_prefix("line 1: ")
-                .map(str::to_string)
-                .unwrap_or(text))
-        }
-        None => Err("job payload is empty".into()),
+        cols += 1;
     }
+    if cols != 3 && cols != 4 {
+        return Err(format!("expected 3 or 4 columns, found {cols}"));
+    }
+    let mut nums = [0.0; 4];
+    for (num, field) in nums.iter_mut().zip(&fields[..cols]) {
+        *num = field
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| format!("'{field}' is not a finite number"))?;
+    }
+    let [arrival, deadline, length, size] = nums;
+    Job::try_adp(arrival, deadline, length).map_err(|e| e.to_string())?;
+    if cols == 4 && !(size > 0.0 && size <= 1.0) {
+        return Err(format!("size {size} outside (0, 1]"));
+    }
+    Ok((arrival, deadline, length))
 }
 
 #[cfg(test)]
@@ -251,5 +261,49 @@ mod tests {
         assert!(e.contains("columns"), "{e}");
         // No stale "line 1:" prefix leaks through.
         assert!(!parse_request("job a 0,5").unwrap_err().starts_with("line"));
+    }
+
+    #[test]
+    fn job_payload_errors_keep_the_trace_reader_texts() {
+        for (payload, want) in [
+            ("0,5", "expected 3 or 4 columns, found 2"),
+            ("0,5,2,0.5,9", "expected 3 or 4 columns, found 5"),
+            ("0,abc,2", "'abc' is not a finite number"),
+            ("0, nan ,2", "'nan' is not a finite number"),
+            ("0,5,2,2.0", "size 2 outside (0, 1]"),
+            ("0,5,2,0", "size 0 outside (0, 1]"),
+        ] {
+            assert_eq!(parse_job_payload(payload).unwrap_err(), want, "{payload}");
+        }
+        // Column count is checked before numbers.
+        assert_eq!(
+            parse_job_payload("x,y").unwrap_err(),
+            "expected 3 or 4 columns, found 2"
+        );
+        assert_eq!(
+            parse_job_payload(" 1.500 , 2e1 ,\t0.25,1"),
+            Ok((1.5, 20.0, 0.25))
+        );
+    }
+
+    #[test]
+    fn non_numeric_payload_is_not_reported_empty() {
+        // A one-line payload has no header or comment to skip: a
+        // non-numeric field is reported like any other.
+        assert_eq!(
+            parse_request("job a x,y,z").unwrap_err(),
+            "'x' is not a finite number"
+        );
+        assert_eq!(
+            parse_request("job a #1,2,3").unwrap_err(),
+            "'#1' is not a finite number"
+        );
+    }
+
+    #[test]
+    fn job_payload_is_one_line() {
+        for payload in ["0,5,2\n0,6,2", "0\n,5,2", "x\n0,5,2", "0,5,2\n"] {
+            assert!(parse_job_payload(payload).is_err(), "{payload:?}");
+        }
     }
 }

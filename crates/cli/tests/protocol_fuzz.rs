@@ -8,11 +8,16 @@
 //! daemon relies on downstream: echo-safe session names and finite,
 //! well-ordered job windows.
 //!
+//! The same generators drive a differential check of the job-payload
+//! parser against the batch trace reader it replaced, kept here as the
+//! reference.
+//!
 //! Deterministic by construction — fixed seeds through `fjs-prng`, no
 //! time or OS entropy — so a failure reproduces exactly.
 
-use fjs_cli::serve::protocol::{parse_request, Request};
+use fjs_cli::serve::protocol::{parse_job_payload, parse_request, Request};
 use fjs_prng::SmallRng;
+use fjs_workloads::TraceReader;
 
 /// Asserts the invariants the serve dispatcher assumes about any request
 /// the parser lets through.
@@ -50,25 +55,22 @@ fn check_invariants(line: &str, req: &Request) {
     }
 }
 
-#[test]
-fn parser_never_panics_on_arbitrary_bytes() {
+/// Raw arbitrary bytes, lossily decoded and framed on `'\n'` like the
+/// daemon's reader.
+fn arbitrary_lines() -> Vec<String> {
     let mut rng = SmallRng::seed_from_u64(0xF0D5_EC41_7A11_0001);
+    let mut lines = Vec::new();
     for _ in 0..20_000 {
         let len = rng.usize_range(0, 200);
         let bytes: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
         let line = String::from_utf8_lossy(&bytes);
-        // The daemon frames on '\n'; feed each framed piece like the
-        // reader would.
-        for piece in line.split('\n') {
-            if let Ok(Some(req)) = parse_request(piece) {
-                check_invariants(piece, &req);
-            }
-        }
+        lines.extend(line.split('\n').map(str::to_string));
     }
+    lines
 }
 
-#[test]
-fn parser_never_panics_on_structured_mutations() {
+/// Structured mutations of known-good lines.
+fn mutated_lines() -> Vec<String> {
     const SEEDS: &[&str] = &[
         "open alpha eager",
         "open t.a poison:panic:eager",
@@ -83,6 +85,7 @@ fn parser_never_panics_on_structured_mutations() {
     ];
     const JUNK: &[u8] = b" \t,.-_:;!@#\x00\x7f\xffABCxyz0189";
     let mut rng = SmallRng::seed_from_u64(0xF0D5_EC41_7A11_0002);
+    let mut lines = Vec::new();
     for _ in 0..20_000 {
         let mut bytes = rng.choose(SEEDS).as_bytes().to_vec();
         for _ in 0..rng.usize_range(1, 5) {
@@ -115,11 +118,114 @@ fn parser_never_panics_on_structured_mutations() {
                 }
             }
         }
-        let line = String::from_utf8_lossy(&bytes).into_owned();
+        lines.push(String::from_utf8_lossy(&bytes).into_owned());
+    }
+    lines
+}
+
+#[test]
+fn parser_never_panics_on_arbitrary_bytes() {
+    for line in arbitrary_lines() {
         if let Ok(Some(req)) = parse_request(&line) {
             check_invariants(&line, &req);
         }
     }
+}
+
+#[test]
+fn parser_never_panics_on_structured_mutations() {
+    for line in mutated_lines() {
+        if let Ok(Some(req)) = parse_request(&line) {
+            check_invariants(&line, &req);
+        }
+    }
+}
+
+/// The job-payload parser before the direct one: a one-line stream
+/// through the batch trace reader, its `line 1: ` prefix stripped.
+fn reference_payload(payload: &str) -> Result<(f64, f64, f64), String> {
+    match TraceReader::new(payload.as_bytes()).next() {
+        Some(Ok(rec)) => Ok((
+            rec.job.arrival().get(),
+            rec.job.deadline().get(),
+            rec.job.length().get(),
+        )),
+        Some(Err(e)) => {
+            let text = e.to_string();
+            Err(text
+                .strip_prefix("line 1: ")
+                .map(str::to_string)
+                .unwrap_or(text))
+        }
+        None => Err("job payload is empty".into()),
+    }
+}
+
+/// The payload `parse_request` hands to the payload parser, if `line` is
+/// a `job` line that carries one.
+fn job_payload(line: &str) -> Option<&str> {
+    let mut parts = line.trim().splitn(3, char::is_whitespace);
+    if parts.next()? != "job" {
+        return None;
+    }
+    parts.next()?;
+    Some(parts.next()?.trim()).filter(|rest| !rest.is_empty())
+}
+
+/// The direct payload parser agrees with the trace reader: bit-equal
+/// jobs and equal errors. Two differences are by design. A payload the
+/// reader skipped as a header or `#` comment (answered `job payload is
+/// empty`) gets the column-count or number error any other malformed
+/// payload gets. A payload spanning lines, which the reader cut at the
+/// first line, is never accepted.
+#[test]
+fn direct_payload_parser_matches_the_trace_reader() {
+    let edge = (0..10_000u64).map(|i| {
+        let mut rng = SmallRng::seed_from_u64(0xF0D5_EC41_7A11_0004 ^ i);
+        let field = |rng: &mut SmallRng| match rng.usize_range(0, 3) {
+            0 => format!("{:.3}", rng.f64_range(-1e3, 1e3)),
+            1 => format!("{}", rng.f64_range(0.0, 1e16)),
+            _ => {
+                (*rng.choose(&["0", "-0", "1", "inf", "x", " 2 ", "1e3", "0.0001", ""])).to_string()
+            }
+        };
+        let cols = rng.usize_range(2, 6);
+        let fields: Vec<String> = (0..cols).map(|_| field(&mut rng)).collect();
+        format!("job s {}", fields.join(","))
+    });
+    let (mut accepted, mut compared) = (0, 0);
+    for line in arbitrary_lines()
+        .into_iter()
+        .chain(mutated_lines())
+        .chain(edge)
+    {
+        let Some(payload) = job_payload(&line) else {
+            continue;
+        };
+        compared += 1;
+        let got = parse_job_payload(payload);
+        let want = reference_payload(payload);
+        let bits = |r: &Result<(f64, f64, f64), String>| {
+            r.clone()
+                .map(|(a, d, p)| (a.to_bits(), d.to_bits(), p.to_bits()))
+        };
+        if payload.contains('\n') {
+            assert!(got.is_err(), "multi-line payload {payload:?} accepted");
+        } else if want.as_ref().is_err_and(|e| e == "job payload is empty") {
+            let e = got.expect_err(payload);
+            assert!(
+                e.starts_with("expected 3 or 4 columns") || e.ends_with("is not a finite number"),
+                "{payload:?}: {e}"
+            );
+        } else {
+            assert_eq!(bits(&got), bits(&want), "{payload:?}");
+            accepted += usize::from(got.is_ok());
+        }
+    }
+    assert!(
+        compared > 10_000 && accepted > 1_000,
+        "{compared} / {accepted}"
+    );
 }
 
 #[test]

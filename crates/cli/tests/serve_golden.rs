@@ -8,11 +8,15 @@
 //! cases add `<case>.journal` (the live run's journal) and, for the
 //! crash-cut run, `resume-cut.journal` and its resumed replies. The
 //! `governor.*` case is checked by the governor test in `serve/mod.rs`.
+//! The `tenant-bytes.*` case runs under a tenant byte quota, so its sheds
+//! fall on canonical payload byte counts ([`JobOffer::canonical_bytes`]).
+//!
+//! [`JobOffer::canonical_bytes`]: fjs_core::service::JobOffer::canonical_bytes
 
 use std::path::PathBuf;
 
 use fjs_cli::serve::{run_script, Backend, ServeOptions, Sink};
-use fjs_core::service::{BreakerConfig, ServeJournal};
+use fjs_core::service::{BreakerConfig, ServeJournal, TenantQuotas};
 use fjs_core::supervise::with_quiet_panics;
 use fjs_schedulers::SchedulerKind;
 
@@ -92,6 +96,21 @@ fn poison_scripts_match_golden_at_every_worker_count() {
     };
     check_script_case("poison-panic", &opts);
     check_script_case("poison-hang", &opts);
+}
+
+/// Padded, trailing-zero, exponent, 17-digit, >= 1e15 and 4-decimal
+/// payloads under a 103-byte tenant quota: each tenant fills it exactly
+/// once and sheds the next offer.
+#[test]
+fn tenant_byte_quota_matches_golden_at_every_worker_count() {
+    let opts = ServeOptions {
+        tenant_quotas: TenantQuotas {
+            max_pending: 0,
+            max_bytes: 103,
+        },
+        ..ServeOptions::default()
+    };
+    check_script_case("tenant-bytes", &opts);
 }
 
 /// A journaled run, the same run cut after five lines (SIGKILL stand-in:

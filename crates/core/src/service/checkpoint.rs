@@ -35,7 +35,8 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::supervise::journal::{escape, parse_fields, unescape};
+use crate::supervise::journal::{escape, parse_fields};
+use crate::time::{push_decimal, push_u64};
 
 /// Journal format version.
 pub const SERVE_JOURNAL_VERSION: u32 = 1;
@@ -127,31 +128,51 @@ impl ServeEvent {
         }
     }
 
-    fn serialize(&self) -> String {
+    /// Appends the record's journal line, newline included. Job records
+    /// (the hot path) are rendered directly; their floats go through
+    /// [`push_decimal`], so they read exactly as `Display` prints them.
+    fn write_line(&self, out: &mut Vec<u8>) {
         match self {
             ServeEvent::Open {
                 session,
                 scheduler,
                 line,
-            } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"open\",\"session\":\"{}\",\"scheduler\":\"{}\",\"line\":{line}}}",
-                escape(session),
-                escape(scheduler),
-            ),
+            } => {
+                let _ = writeln!(
+                    out,
+                    "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"open\",\"session\":\"{}\",\"scheduler\":\"{}\",\"line\":{line}}}",
+                    escape(session),
+                    escape(scheduler),
+                );
+            }
             ServeEvent::Job {
                 session,
                 line,
                 arrival,
                 deadline,
                 length,
-            } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"job\",\"session\":\"{}\",\"line\":{line},\"arrival\":{arrival},\"deadline\":{deadline},\"length\":{length}}}",
-                escape(session),
-            ),
-            ServeEvent::Close { session, line } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"close\",\"session\":\"{}\",\"line\":{line}}}",
-                escape(session),
-            ),
+            } => {
+                out.extend_from_slice(b"{\"v\":");
+                push_u64(out, u64::from(SERVE_JOURNAL_VERSION));
+                out.extend_from_slice(b",\"kind\":\"job\",\"session\":\"");
+                out.extend_from_slice(escape(session).as_bytes());
+                out.extend_from_slice(b"\",\"line\":");
+                push_u64(out, *line);
+                out.extend_from_slice(b",\"arrival\":");
+                push_decimal(out, *arrival);
+                out.extend_from_slice(b",\"deadline\":");
+                push_decimal(out, *deadline);
+                out.extend_from_slice(b",\"length\":");
+                push_decimal(out, *length);
+                out.extend_from_slice(b"}\n");
+            }
+            ServeEvent::Close { session, line } => {
+                let _ = writeln!(
+                    out,
+                    "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"close\",\"session\":\"{}\",\"line\":{line}}}",
+                    escape(session),
+                );
+            }
         }
     }
 
@@ -168,7 +189,8 @@ impl ServeEvent {
         if version != SERVE_JOURNAL_VERSION {
             return Err(format!("unsupported journal version {version}"));
         }
-        let session = unescape(get("session")?)?;
+        // `parse_fields` has already unescaped string values.
+        let session = get("session")?.to_string();
         let line: u64 = get("line")?
             .parse()
             .map_err(|_| "bad line number".to_string())?;
@@ -183,7 +205,7 @@ impl ServeEvent {
         };
         match get("kind")? {
             "open" => Ok(ServeEvent::Open {
-                scheduler: unescape(get("scheduler")?)?,
+                scheduler: get("scheduler")?.to_string(),
                 session,
                 line,
             }),
@@ -241,6 +263,8 @@ pub struct ServeJournal {
     sync_every: usize,
     since_sync: usize,
     records: u64,
+    /// Reused buffer for the record being appended.
+    buf: Vec<u8>,
 }
 
 impl ServeJournal {
@@ -257,6 +281,7 @@ impl ServeJournal {
             sync_every: DEFAULT_SYNC_EVERY,
             since_sync: 0,
             records: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -270,6 +295,7 @@ impl ServeJournal {
             sync_every: DEFAULT_SYNC_EVERY,
             since_sync: 0,
             records: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -292,9 +318,9 @@ impl ServeJournal {
 
     /// Appends one record (write + flush; fsync per the sync policy).
     pub fn append(&mut self, event: &ServeEvent) -> Result<(), ServeJournalError> {
-        let mut line = event.serialize();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.buf.clear();
+        event.write_line(&mut self.buf);
+        self.file.write_all(&self.buf)?;
         self.records += 1;
         self.since_sync += 1;
         if self.since_sync >= self.sync_every {
@@ -422,7 +448,9 @@ mod tests {
             "{\"v\":1,\"kind\":\"close\",\"session\":\"alpha\",\"line\":4}",
         ];
         for (ev, want) in sample_events().iter().zip(golden) {
-            assert_eq!(ev.serialize(), want);
+            let mut line = Vec::new();
+            ev.write_line(&mut line);
+            assert_eq!(line, format!("{want}\n").as_bytes());
             assert_eq!(&ServeEvent::parse(want).unwrap(), ev);
         }
     }
@@ -535,6 +563,35 @@ mod tests {
         let render = |ds: &[Decision]| ds.iter().map(|d| format!("{d}\n")).collect::<String>();
         assert_eq!(render(&original), render(&replayed));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn escaped_names_round_trip() {
+        let session = "we\"ird\\name\nwith\tcontrol".to_string();
+        let ev = ServeEvent::Job {
+            session: session.clone(),
+            line: 9,
+            arrival: -0.0,
+            deadline: 1e16,
+            length: 0.1 + 0.2,
+        };
+        let mut line = Vec::new();
+        ev.write_line(&mut line);
+        let want = format!(
+            "{{\"v\":1,\"kind\":\"job\",\"session\":\"{}\",\"line\":9,\"arrival\":-0,\"deadline\":10000000000000000,\"length\":0.30000000000000004}}\n",
+            escape(&session)
+        );
+        assert_eq!(String::from_utf8(line).unwrap(), want);
+        assert_eq!(ServeEvent::parse(want.trim_end()).unwrap(), ev);
+        let open = ServeEvent::Open {
+            session: session.clone(),
+            scheduler: session,
+            line: 1,
+        };
+        let mut line = Vec::new();
+        open.write_line(&mut line);
+        let text = String::from_utf8(line).unwrap();
+        assert_eq!(ServeEvent::parse(text.trim_end()).unwrap(), open);
     }
 
     #[test]

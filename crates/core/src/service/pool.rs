@@ -264,36 +264,40 @@ impl Worker {
         }
     }
 
-    /// The admission checks a live offer passes before it is applied:
-    /// terminal verdict, per-session resident cap, tenant quotas.
-    fn admit(&self, sid: &str, offer: &JobOffer) -> Option<PoolReply> {
-        let slot = self.sessions.get(sid)?;
+    /// The admission checks a live offer to `slot` passes before it is
+    /// applied: terminal verdict, per-session resident cap, tenant quotas.
+    /// `usage` is [`Worker::tenant_usage`] of `tenant`, taken when a
+    /// quota is on.
+    fn admit(
+        slot: &Slot,
+        max_pending: usize,
+        quotas: TenantQuotas,
+        tenant: &str,
+        offer: &JobOffer,
+        usage: Option<(usize, u64)>,
+    ) -> Option<PoolReply> {
         if let Some(v) = slot.session.verdict() {
             return Some(PoolReply::OfferTerminal { verdict: v.clone() });
         }
         let resident = slot.session.num_pending() + slot.session.num_running();
-        if resident >= self.max_pending {
+        if resident >= max_pending {
             return Some(PoolReply::OfferShed { resident });
         }
-        if !self.quotas.enabled() {
-            return None;
-        }
-        let tenant = tenant_of(sid);
-        let (t_resident, t_bytes) = self.tenant_usage(tenant);
-        if self.quotas.max_pending > 0 && t_resident >= self.quotas.max_pending {
+        let (t_resident, t_bytes) = usage?;
+        if quotas.max_pending > 0 && t_resident >= quotas.max_pending {
             return Some(PoolReply::OfferTenantShed {
                 tenant: tenant.to_string(),
                 cause: TenantShedCause::Pending,
                 used: t_resident as u64,
-                limit: self.quotas.max_pending as u64,
+                limit: quotas.max_pending as u64,
             });
         }
-        if self.quotas.max_bytes > 0 && t_bytes + offer.canonical_bytes() > self.quotas.max_bytes {
+        if quotas.max_bytes > 0 && t_bytes + offer.canonical_bytes() > quotas.max_bytes {
             return Some(PoolReply::OfferTenantShed {
                 tenant: tenant.to_string(),
                 cause: TenantShedCause::Bytes,
                 used: t_bytes,
-                limit: self.quotas.max_bytes,
+                limit: quotas.max_bytes,
             });
         }
         None
@@ -318,14 +322,20 @@ impl Worker {
                 }
             }
             PoolRequest::Offer { sid, offer } => {
-                if !replay {
-                    if let Some(shed) = self.admit(&sid, &offer) {
-                        return shed;
-                    }
-                }
+                // The tenant scan runs before the one lookup of `sid`,
+                // which then serves both admission and the offer.
+                let tenant = tenant_of(&sid);
+                let usage = (!replay && self.quotas.enabled()).then(|| self.tenant_usage(tenant));
                 let Some(slot) = self.sessions.get_mut(&sid) else {
                     return PoolReply::NoSession;
                 };
+                if !replay {
+                    if let Some(shed) =
+                        Self::admit(slot, self.max_pending, self.quotas, tenant, &offer, usage)
+                    {
+                        return shed;
+                    }
+                }
                 let outcome = slot.session.offer(offer);
                 if outcome.is_ok() {
                     slot.jobs += 1;

@@ -18,7 +18,7 @@
 //!   carries a bad deadline or length is refused with a typed
 //!   [`SessionError`] before it touches any state.
 //! * **O(pending) memory.** The span is the core's
-//!   [`RunningSpan`](crate::interval::RunningSpan) (one open segment plus a
+//!   [`RunningSpan`] (one open segment plus a
 //!   closed scalar), and the session's sink drops completed job records by
 //!   prefix compaction after each completion, so resident state is
 //!   proportional to the jobs in flight, not the jobs ever seen.
@@ -42,7 +42,7 @@ use crate::sim::sched::OnlineScheduler;
 use crate::sim::stats::RunStats;
 use crate::sim::world::World;
 use crate::supervise::{panic_message, DEFAULT_WATCHDOG_EVENTS};
-use crate::time::{Dur, Time};
+use crate::time::{decimal_len, push_decimal, push_u64, Dur, Time};
 
 /// A job offered to a session (the streaming analogue of a trace record).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -65,26 +65,10 @@ impl JobOffer {
     /// canonical floats) account identically, and padding a payload with
     /// whitespace buys a client nothing.
     pub fn canonical_bytes(&self) -> u64 {
-        let mut counter = ByteCounter(0);
-        use std::fmt::Write;
-        let _ = write!(
-            counter,
-            "{},{},{}",
-            self.arrival.get(),
-            self.deadline.get(),
-            self.length.get()
-        );
-        counter.0
-    }
-}
-
-/// Counts formatted bytes without allocating.
-struct ByteCounter(u64);
-
-impl fmt::Write for ByteCounter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
+        decimal_len(self.arrival.get())
+            + decimal_len(self.deadline.get())
+            + decimal_len(self.length.get())
+            + 2
     }
 }
 
@@ -219,16 +203,38 @@ pub struct Decision {
     pub span: Dur,
 }
 
+impl Decision {
+    /// Appends the decision-log line `{sid} start J3 at=4 span=7.5\n`.
+    /// `fjs serve`'s byte-identity contract is over exactly this
+    /// rendering; the floats go through [`push_decimal`], so they read as
+    /// `Display` prints them.
+    pub fn render_line(&self, sid: &str, out: &mut Vec<u8>) {
+        out.extend_from_slice(sid.as_bytes());
+        out.push(b' ');
+        self.render_body(out);
+        out.push(b'\n');
+    }
+
+    fn render_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(match self.kind {
+            DecisionKind::Start => b"start J",
+            DecisionKind::Finish => b"done J",
+        });
+        push_u64(out, u64::from(self.id.0));
+        out.extend_from_slice(b" at=");
+        push_decimal(out, self.at.get());
+        out.extend_from_slice(b" span=");
+        push_decimal(out, self.span.get());
+    }
+}
+
 impl fmt::Display for Decision {
-    /// The canonical decision-log line body (without the session name):
-    /// `start J3 at=4 span=7.5`. `fjs serve` prefixes the session and the
-    /// byte-identity contract is over exactly this rendering.
+    /// The decision-log line body without the session name and newline
+    /// (`start J3 at=4 span=7.5`; see [`Decision::render_line`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            DecisionKind::Start => "start",
-            DecisionKind::Finish => "done",
-        };
-        write!(f, "{kind} {} at={} span={}", self.id, self.at, self.span)
+        let mut body = Vec::with_capacity(48);
+        self.render_body(&mut body);
+        f.write_str(&String::from_utf8_lossy(&body))
     }
 }
 
@@ -624,6 +630,32 @@ mod tests {
     /// batch engine's starts and span exactly, for action-free, ordered-
     /// start, and force-start schedulers alike — down to the last bit on
     /// chains of touching intervals.
+    #[test]
+    fn decision_line_matches_display() {
+        for (kind, at, span) in [
+            (DecisionKind::Start, 4.0, 7.5),
+            (DecisionKind::Finish, 0.1 + 0.2, 1e15),
+            (DecisionKind::Finish, 1000.0001, -0.0),
+        ] {
+            let d = Decision {
+                kind,
+                id: JobId(31),
+                at: t(at),
+                span: dur(span),
+            };
+            let mut line = Vec::new();
+            d.render_line("t.a", &mut line);
+            assert_eq!(line, format!("t.a {d}\n").as_bytes());
+            assert_eq!(
+                d.to_string(),
+                format!(
+                    "{} J31 at={at} span={span}",
+                    ["start", "done"][kind as usize]
+                )
+            );
+        }
+    }
+
     #[test]
     fn session_matches_batch_engine_decisions() {
         let scheds: Vec<(&str, MkSched)> = vec![

@@ -297,6 +297,111 @@ pub fn dur(v: f64) -> Dur {
     Dur::new(v)
 }
 
+/// `10^k` for the fast path's decimal places.
+const POW10: [f64; 4] = [1.0, 10.0, 100.0, 1000.0];
+
+/// The fast path's bound on `m`: decimals of at most 15 digits
+/// (`DBL_DIG`).
+const FAST_LIMIT: u64 = 1_000_000_000_000_000;
+
+/// `x` as `±m / 10^k` with `m < 10^15`, `k ≤ 3` and no trailing zero in
+/// the `k` decimals, when such a decimal rounds to `x`; `None` otherwise
+/// (including NaN and infinities).
+///
+/// Exactness: `m` and `10^k` are exact in `f64`, so the correctly rounded
+/// division `m / 10^k == |x|` proves that the decimal `m·10^-k` rounds to
+/// `|x|`. That decimal has at most 15 significant digits, and by
+/// `DBL_DIG = 15` no other decimal of at most 15 digits rounds to the
+/// same double, so it is `x`'s unique shortest round-trip form: the
+/// digits `Display` prints. The candidate `m` only decides the hit rate;
+/// the division check decides correctness.
+#[inline]
+fn fixed_decimal(x: f64) -> Option<(bool, u64, usize)> {
+    let a = x.abs();
+    let mut k = POW10.len() - 1;
+    loop {
+        // `as` saturates (NaN → 0), and the check below rejects the
+        // candidate then.
+        let m = (a * POW10[k] + 0.5) as u64;
+        if m < FAST_LIMIT {
+            if m as f64 / POW10[k] != a {
+                return None;
+            }
+            let (mut m, mut k) = (m, k);
+            while k > 0 && m % 10 == 0 {
+                m /= 10;
+                k -= 1;
+            }
+            return Some((x.is_sign_negative(), m, k));
+        }
+        // Too many digits at this scale; fewer decimals may still fit.
+        k = k.checked_sub(1)?;
+    }
+}
+
+/// Number of decimal digits of `n`.
+#[inline]
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the decimal digits of `n`.
+#[inline]
+pub fn push_u64(out: &mut Vec<u8>, n: u64) {
+    push_padded(out, n, digits(n));
+}
+
+/// Appends the last `width` decimal digits of `n`, zero-padded.
+#[inline]
+fn push_padded(out: &mut Vec<u8>, mut n: u64, width: usize) {
+    let start = out.len();
+    out.resize(start + width, b'0');
+    for slot in out[start..].iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+}
+
+/// Appends `x` exactly as `Display` renders it (`format!("{x}")`): the
+/// shortest decimal that round-trips, never in exponent form, with the
+/// sign of `-0` kept. Values that are `m / 10^k` for `m < 10^15` and
+/// `k ≤ 3` (see `fixed_decimal` for why that is exact) are written
+/// directly; every other value goes through `core::fmt`.
+pub fn push_decimal(out: &mut Vec<u8>, x: f64) {
+    let Some((negative, m, k)) = fixed_decimal(x) else {
+        use std::io::Write;
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(out, "{x}");
+        return;
+    };
+    if negative {
+        out.push(b'-');
+    }
+    let scale = 10u64.pow(k as u32);
+    push_u64(out, m / scale);
+    if k > 0 {
+        out.push(b'.');
+        push_padded(out, m % scale, k);
+    }
+}
+
+/// The byte length of `x`'s `Display` rendering, without rendering it
+/// when the fast path of [`push_decimal`] applies.
+pub fn decimal_len(x: f64) -> u64 {
+    match fixed_decimal(x) {
+        Some((negative, m, k)) => {
+            let int = digits(m / 10u64.pow(k as u32));
+            (usize::from(negative) + int + if k > 0 { k + 1 } else { 0 }) as u64
+        }
+        None => {
+            use std::io::Write;
+            let mut buf = Vec::new();
+            let _ = write!(buf, "{x}");
+            buf.len() as u64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +472,93 @@ mod tests {
         assert_eq!(d, dur(-3.0));
         assert!(!d.is_positive());
         assert_eq!(-d, dur(3.0));
+    }
+
+    /// `push_decimal` and `decimal_len` against `Display` on one value.
+    fn check_decimal(x: f64) {
+        let want = format!("{x}");
+        let mut got = Vec::new();
+        push_decimal(&mut got, x);
+        assert_eq!(
+            std::str::from_utf8(&got).unwrap(),
+            want,
+            "bits {:#018x}",
+            x.to_bits()
+        );
+        assert_eq!(decimal_len(x), want.len() as u64, "{want}");
+    }
+
+    /// Random bit patterns (every exponent, NaN and infinities included)
+    /// plus, for the fast path, `±m / 10^k` around the `10^15` digit
+    /// limit and short decimals at every scale.
+    fn sweep_decimal(samples: u64, seed: u64) {
+        let mut rng = fjs_prng::SmallRng::seed_from_u64(seed);
+        for i in 0..samples {
+            check_decimal(f64::from_bits(rng.next_u64()));
+            let k = (i % 6) as i32;
+            let m = match i % 3 {
+                0 => FAST_LIMIT - 1 - rng.next_u64() % 4096,
+                1 => FAST_LIMIT + rng.next_u64() % 4096,
+                _ => rng.next_u64() % 10u64.pow(1 + (i / 3 % 16) as u32),
+            };
+            let x = m as f64 / 10f64.powi(k);
+            check_decimal(x);
+            check_decimal(-x);
+        }
+    }
+
+    #[test]
+    fn decimal_matches_display_on_edge_values() {
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            0.001,
+            0.0001,
+            0.1 + 0.2,
+            1e15,
+            1e15 - 1.0,
+            999_999_999_999.999,
+            999_999_999_999_999.9,
+            1e16,
+            1e21,
+            123_456_789_012_345_680.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            check_decimal(x);
+        }
+        for m in [0u64, 1, 9, 10, 99, 100, 12_345, FAST_LIMIT - 1, FAST_LIMIT] {
+            for k in 0..=5 {
+                check_decimal(m as f64 / 10f64.powi(k));
+            }
+        }
+        let mut out = Vec::new();
+        push_u64(&mut out, 0);
+        out.push(b' ');
+        push_u64(&mut out, u64::MAX);
+        assert_eq!(out, format!("0 {}", u64::MAX).as_bytes());
+    }
+
+    #[test]
+    fn decimal_matches_display_on_random_values() {
+        sweep_decimal(100_000, 0xDEC1_0001);
+    }
+
+    /// The long sweep (run in release: `cargo test --release -p fjs-core
+    /// decimal -- --ignored`).
+    #[test]
+    #[ignore]
+    fn decimal_matches_display_sweep() {
+        sweep_decimal(10_000_000, 0xDEC1_0002);
     }
 
     #[test]
